@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	apiserver -in snapshot.tsdb|datadir/ [-addr :8080] [-pidfile path]
+//	apiserver -in datadir/ [-addr :8080] [-pidfile path]
 //	          [-follow http://leader:8081] [-tail-every 30s]
 //	          [-replica-addr :8081] [-lazy] [-block-cache-mb 16]
 //	          [-swr] [-swr-budget 5m]
@@ -11,10 +11,10 @@
 //	          [-front-health-every 2s] [-front-staleness 1]
 //	          [-front-hedge-after 0]
 //
-// -in accepts either a single-stream snapshot file or a segment
-// directory written by tslpd -datadir (docs/PERSISTENCE.md); a
+// -in names a segment directory written by tslpd -datadir
+// (docs/PERSISTENCE.md); anything else is a startup error. The
 // directory is opened read-only, its shards decoded in parallel. With
-// -lazy a directory is mapped instead of decoded: queries prune whole
+// -lazy it is mapped instead of decoded: queries prune whole
 // blocks by their summaries and decode only survivors on demand
 // (docs/PERSISTENCE.md §9), /api/v1/stats reports the blocks scanned
 // vs skipped, and follower hot-swaps reopen only changed segments.
@@ -32,7 +32,7 @@
 // -replica-addr starts a second listener exporting this server's own
 // segment directory to downstream followers — on a leader, point it at
 // the tslpd datadir; on a follower it re-exports the replica directory
-// for chained fan-out. It requires -in to be a directory.
+// for chained fan-out.
 //
 // The pid file defaults to apiserver.pid under os.TempDir() and is
 // removed on graceful shutdown; -pidfile "" disables it.
@@ -93,11 +93,11 @@ import (
 const shutdownGrace = 5 * time.Second
 
 func main() {
-	inPath := flag.String("in", "", "tsdb snapshot file or segment directory (required; the replica directory with -follow)")
+	inPath := flag.String("in", "", "tsdb segment directory (required; the replica directory with -follow)")
 	addr := flag.String("addr", ":8080", "listen address")
 	follow := flag.String("follow", "", "leader base URL to replicate from, e.g. http://leader:8081 (docs/REPLICATION.md)")
 	tailEvery := flag.Duration("tail-every", replication.DefaultInterval, "manifest tail cadence with -follow")
-	replicaAddr := flag.String("replica-addr", "", "listen address exporting -in (a directory) to downstream followers")
+	replicaAddr := flag.String("replica-addr", "", "listen address exporting -in to downstream followers")
 	lazy := flag.Bool("lazy", false,
 		"open segment directories in block-pruned lazy mode: segments are mapped, not decoded, and queries decode only the blocks that survive summary pruning (docs/PERSISTENCE.md §9)")
 	blockCacheMB := flag.Int64("block-cache-mb", 0,
@@ -169,10 +169,6 @@ func main() {
 			api.WithReplication(func() api.ReplicationHealth {
 				return replicationHealth(f)
 			}),
-			// The replica directory is the serving store's disk identity:
-			// stats and health report its size, segment count and format
-			// versions (docs/SERVING.md §4).
-			api.WithStorageDir(*inPath),
 		)
 		fmt.Printf("apiserver: following %s into %s every %s\n", *follow, *inPath, *tailEvery)
 	} else {
@@ -180,15 +176,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if fi, err := os.Stat(*inPath); err == nil && fi.IsDir() {
-			opts = append(opts, api.WithStorageDir(*inPath))
-		}
 	}
+	// The directory is the serving store's disk identity: stats and
+	// health report its size and segment count (docs/SERVING.md §4).
+	opts = append(opts, api.WithStorageDir(*inPath))
 
 	if *replicaAddr != "" {
-		if fi, err := os.Stat(*inPath); *follow == "" && (err != nil || !fi.IsDir()) {
-			fatal(fmt.Errorf("-replica-addr requires -in to be a segment directory"))
-		}
 		go func() {
 			if err := http.ListenAndServe(*replicaAddr, replication.NewExporter(*inPath)); err != nil {
 				fmt.Fprintln(os.Stderr, "apiserver: replica listener:", err)
@@ -289,23 +282,21 @@ func runFront(replicas, addr, debugAddr, pidfile string, healthEvery time.Durati
 	}
 }
 
-// openStore loads either persistence format: a segment directory
-// (tslpd -datadir) is restored shard-parallel and read-only — or, with
-// lazy, mapped without decoding so startup is O(metadata) — anything
-// else is treated as a single-stream snapshot file (-lazy does not
-// apply to stream snapshots). cacheBytes bounds the lazy decoded-block
-// cache (docs/PERSISTENCE.md §10.3); 0 means the tsdb default.
+// openStore restores a segment directory (tslpd -datadir) read-only:
+// shard-parallel, or with lazy mapped without decoding so startup is
+// O(metadata). A path that is not a directory is an error naming the
+// expected input. cacheBytes bounds the lazy decoded-block cache
+// (docs/PERSISTENCE.md §10.3); 0 means the tsdb default.
 func openStore(path string, lazy bool, cacheBytes int64) (*tsdb.DB, error) {
-	db := tsdb.Open()
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return db, db.RestoreDir(path, tsdb.DirOptions{Lazy: lazy, BlockCacheBytes: cacheBytes})
-	}
-	f, err := os.Open(path)
+	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return db, db.Restore(f)
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("-in %s is not a segment directory (write one with tslpd -datadir)", path)
+	}
+	db := tsdb.Open()
+	return db, db.RestoreDir(path, tsdb.DirOptions{Lazy: lazy, BlockCacheBytes: cacheBytes})
 }
 
 // openReplicaDir opens the follower's local replica directory: restore
@@ -325,35 +316,27 @@ func openReplicaDir(dir string, lazy bool, cacheBytes int64) (*tsdb.DB, error) {
 }
 
 // replicationHealth converts a follower's status into the API's
-// replication-health shape: the nested peers array (one "leader"
-// entry) plus the deprecated flat fields, kept one release for old
-// monitors (docs/SERVING.md §8). Status.Leader is already userinfo-
-// redacted by the replication package.
+// replication-health shape: the applied generation plus the nested
+// peers array with one "leader" entry (docs/SERVING.md §8).
+// Status.Leader is already userinfo-redacted by the replication
+// package.
 func replicationHealth(f *replication.Follower) api.ReplicationHealth {
 	st := f.Status()
-	rh := api.ReplicationHealth{
-		Leader:             st.Leader,
-		LeaderGeneration:   st.LeaderGeneration,
-		AppliedGeneration:  st.AppliedGeneration,
+	peer := api.PeerHealth{
+		Role:               "leader",
+		Address:            st.Leader,
+		Generation:         st.LeaderGeneration,
+		Healthy:            st.LastError == "",
 		LastSyncAgeSeconds: -1,
 		LastError:          st.LastError,
 	}
 	if st.LeaderGeneration > st.AppliedGeneration {
-		rh.LagGenerations = st.LeaderGeneration - st.AppliedGeneration
+		peer.LagGenerations = st.LeaderGeneration - st.AppliedGeneration
 	}
 	if !st.LastSync.IsZero() {
-		rh.LastSyncAgeSeconds = time.Since(st.LastSync).Seconds()
+		peer.LastSyncAgeSeconds = time.Since(st.LastSync).Seconds()
 	}
-	rh.Peers = []api.PeerHealth{{
-		Role:               "leader",
-		Address:            st.Leader,
-		Generation:         st.LeaderGeneration,
-		LagGenerations:     rh.LagGenerations,
-		Healthy:            st.LastError == "",
-		LastSyncAgeSeconds: rh.LastSyncAgeSeconds,
-		LastError:          st.LastError,
-	}}
-	return rh
+	return api.ReplicationHealth{AppliedGeneration: st.AppliedGeneration, Peers: []api.PeerHealth{peer}}
 }
 
 // debugMux builds the pprof handler tree on a private mux rather than

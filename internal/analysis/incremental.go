@@ -65,8 +65,8 @@ type AdvanceInfo struct {
 
 // Incremental is the persistent accumulator behind one (link, vp,
 // window, config) congestion analysis: the far/near min-filter bins,
-// the shared elevation state batch Autocorrelation uses, per-series
-// fold cursors, and an advisory online CUSUM over settled far bins.
+// the shared elevation state batch Autocorrelation uses, and
+// per-series fold cursors.
 // Advance folds fresh tsdb views into it and returns a result equal to
 // what batch Autocorrelation would produce over the same views —
 // byte-identical once encoded, which the equivalence tests assert
@@ -88,11 +88,6 @@ type Incremental struct {
 	// an incremental fold; dirtyMark dedups marks without allocation.
 	dirty     []int
 	dirtyMark []bool
-
-	// cusum watches settled far bins for a level-shift onset (§4.1);
-	// fed is the next bin index to feed it (docs/DETECTION.md §5).
-	cusum *OnlineCUSUM
-	fed   int
 }
 
 // NewIncremental returns an empty accumulator for a window of
@@ -111,7 +106,6 @@ func NewIncremental(start time.Time, cfg AutocorrConfig) *Incremental {
 		farCur:    map[string]*foldCursor{},
 		nearCur:   map[string]*foldCursor{},
 		dirtyMark: make([]bool, n),
-		cusum:     newWindowCUSUM(cfg),
 	}
 }
 
@@ -142,7 +136,6 @@ func (inc *Incremental) Advance(epoch uint64, far, near []tsdb.SeriesView) (*Aut
 		inc.clearDirty()
 		inc.st.rebuild(inc.far, inc.near)
 		inc.res = inc.st.derive(inc.start, inc.cfg)
-		inc.feedCUSUM()
 		return inc.res, info
 	}
 
@@ -154,7 +147,6 @@ func (inc *Incremental) Advance(epoch uint64, far, near []tsdb.SeriesView) (*Aut
 		// No bin moved: the previous result — and its encoded body —
 		// still hold verbatim (docs/DETECTION.md §4).
 		info.Unchanged = true
-		inc.feedCUSUM()
 		return inc.res, info
 	}
 	if inc.st.minFar < oldMinFar || inc.st.minNear < oldMinNear {
@@ -168,7 +160,6 @@ func (inc *Incremental) Advance(epoch uint64, far, near []tsdb.SeriesView) (*Aut
 	}
 	inc.clearDirty()
 	inc.res = inc.st.derive(inc.start, inc.cfg)
-	inc.feedCUSUM()
 	return inc.res, info
 }
 
@@ -263,7 +254,7 @@ func (inc *Incremental) fold(bins *BinSeries, ns int64, val float64, isFar bool)
 }
 
 // reset empties the accumulator for a full re-fold: bins back to
-// all-missing, cursors dropped, the CUSUM replayed from bin zero.
+// all-missing, cursors dropped.
 func (inc *Incremental) reset() {
 	for i := range inc.far.Values {
 		inc.far.Values[i] = math.NaN()
@@ -274,8 +265,6 @@ func (inc *Incremental) reset() {
 	clear(inc.farCur)
 	clear(inc.nearCur)
 	inc.clearDirty()
-	inc.cusum = newWindowCUSUM(inc.cfg)
-	inc.fed = 0
 }
 
 // clearDirty resets the dirty-bin marks without freeing the buffers.
@@ -284,61 +273,4 @@ func (inc *Incremental) clearDirty() {
 		inc.dirtyMark[i] = false
 	}
 	inc.dirty = inc.dirty[:0]
-}
-
-// newWindowCUSUM tunes the advisory onset detector off the elevation
-// threshold: a shift has to sustain half the §4.2 elevation margin to
-// accumulate, and four margins of accumulated excess raise the alarm
-// (docs/DETECTION.md §5).
-func newWindowCUSUM(cfg AutocorrConfig) *OnlineCUSUM {
-	return NewOnlineCUSUM(cfg.ThresholdMs/2, 4*cfg.ThresholdMs)
-}
-
-// feedCUSUM feeds settled far bins — bins strictly before the one
-// holding the newest folded far point, which can still change as more
-// samples of its interval arrive — to the advisory onset detector.
-func (inc *Incremental) feedCUSUM() {
-	var maxT int64 = math.MinInt64
-	any := false
-	for _, c := range inc.farCur {
-		if c.maxTime > maxT {
-			maxT, any = c.maxTime, true
-		}
-	}
-	if !any {
-		return
-	}
-	settled := int((maxT - inc.far.Start.UnixNano()) / int64(inc.far.Interval))
-	if settled > len(inc.far.Values) {
-		settled = len(inc.far.Values)
-	}
-	for ; inc.fed < settled; inc.fed++ {
-		inc.cusum.Observe(inc.far.Values[inc.fed])
-	}
-}
-
-// CUSUMState is a snapshot of the advisory online onset detector
-// (docs/DETECTION.md §5). It is operational signal only — never part
-// of encoded congestion bodies, so it carries no equivalence guarantee
-// against a batch replay.
-type CUSUMState struct {
-	// Alarmed reports an active positive excursion beyond the threshold.
-	Alarmed bool
-	// OnsetBin is the bin index where the active excursion began, or -1.
-	OnsetBin int
-	// Excess is the accumulated positive excursion (ms above
-	// target+slack).
-	Excess float64
-	// FedBins is how many settled bins have been consumed.
-	FedBins int
-}
-
-// CUSUM returns the advisory onset detector's current state.
-func (inc *Incremental) CUSUM() CUSUMState {
-	return CUSUMState{
-		Alarmed:  inc.cusum.Alarmed(),
-		OnsetBin: inc.cusum.Onset(),
-		Excess:   inc.cusum.Excess(),
-		FedBins:  inc.fed,
-	}
 }

@@ -11,9 +11,7 @@ package analysis
 // package asserts the encoded-body form end to end).
 
 import (
-	"bytes"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -72,6 +70,19 @@ func newIncHarness(t *testing.T) *incHarness {
 
 func (h *incHarness) write(vp, side string, at time.Time, v float64) {
 	h.db.Write("tslp", map[string]string{"link": h.link, "vp": vp, "side": side}, at, v)
+}
+
+// restore round-trips the store through a segment directory: the
+// whole-store replacement a restart performs.
+func (h *incHarness) restore() {
+	h.t.Helper()
+	dir := h.t.TempDir()
+	if _, err := h.db.SnapshotDir(dir, tsdb.DirOptions{}); err != nil {
+		h.t.Fatalf("snapshot: %v", err)
+	}
+	if err := h.db.RestoreDir(dir, tsdb.DirOptions{}); err != nil {
+		h.t.Fatalf("restore: %v", err)
+	}
 }
 
 // value synthesizes an RTT for a timestamp: base plus a diurnal
@@ -177,13 +188,7 @@ func TestIncrementalEquivalenceRandomSchedules(t *testing.T) {
 					cut := incStart.Add(time.Duration(rng.Intn(h.n/2)) * h.bin)
 					h.db.Retain(cut, h.end.Add(24*time.Hour))
 				case p < 0.92: // restart: snapshot + restore round-trip
-					var buf bytes.Buffer
-					if err := h.db.Snapshot(&buf); err != nil {
-						t.Fatalf("snapshot: %v", err)
-					}
-					if err := h.db.Restore(&buf); err != nil {
-						t.Fatalf("restore: %v", err)
-					}
+					h.restore()
 				default: // a new vantage point appears mid-campaign
 					vp := fmt.Sprintf("vp%d", 3+rng.Intn(3))
 					at := incStart.Add(time.Duration(rng.Intn(h.n)) * h.bin)
@@ -253,13 +258,7 @@ func TestIncrementalInvalidationTriggers(t *testing.T) {
 	})
 	t.Run("restore forces full", func(t *testing.T) {
 		h := newWarm(t)
-		var buf bytes.Buffer
-		if err := h.db.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.db.Restore(&buf); err != nil {
-			t.Fatal(err)
-		}
+		h.restore()
 		if info := h.check(); !info.Full {
 			t.Fatalf("expected full recompute after epoch move, got %+v", info)
 		}
@@ -290,64 +289,4 @@ func TestIncrementalInvalidationTriggers(t *testing.T) {
 			t.Fatalf("expected Unchanged advance, got %+v", info)
 		}
 	})
-}
-
-// TestOnlineCUSUM pins the sequential detector's semantics: lock-in of
-// the target, slack absorption, onset tracking, and NaN transparency.
-func TestOnlineCUSUM(t *testing.T) {
-	c := NewOnlineCUSUM(3, 20)
-	for i := 0; i < 20; i++ {
-		if c.Observe(10 + float64(i%2)) {
-			t.Fatalf("alarm during baseline at sample %d", i)
-		}
-	}
-	if c.Onset() != -1 {
-		t.Fatalf("baseline should hold no excursion, onset=%d", c.Onset())
-	}
-	// A 15 ms shift accumulates 12/sample past the slack: alarm on the
-	// second shifted sample.
-	alarmAt := -1
-	for i := 0; i < 5; i++ {
-		if c.Observe(25) && alarmAt < 0 {
-			alarmAt = 20 + i
-		}
-	}
-	if alarmAt != 21 {
-		t.Fatalf("alarm at sample %d, want 21", alarmAt)
-	}
-	if c.Onset() != 20 {
-		t.Fatalf("onset=%d, want 20", c.Onset())
-	}
-	// NaNs advance the index without touching the excursion.
-	n := c.Samples()
-	c.Observe(math.NaN())
-	if c.Samples() != n+1 || !c.Alarmed() {
-		t.Fatal("NaN must advance the sample index and keep the alarm")
-	}
-	// Recovery: the alarm drops once the excess sinks under the
-	// threshold, and the onset clears when the excursion fully drains.
-	for i := 0; i < 50 && c.Excess() > 0; i++ {
-		c.Observe(10)
-	}
-	if c.Alarmed() || c.Excess() != 0 || c.Onset() != -1 {
-		t.Fatalf("detector did not recover: excess=%g onset=%d", c.Excess(), c.Onset())
-	}
-}
-
-// TestIncrementalCUSUMFeedsSettledBins checks the advisory feed: only
-// bins strictly before the newest folded far point are consumed.
-func TestIncrementalCUSUMFeedsSettledBins(t *testing.T) {
-	h := newIncHarness(t)
-	at := incStart.Add(5*h.bin + h.bin/2) // mid bin 5
-	h.write("vp1", "far", at, 40)
-	h.check()
-	if st := h.inc.CUSUM(); st.FedBins != 5 {
-		t.Fatalf("fed %d bins, want 5 (bin holding the newest point is unsettled)", st.FedBins)
-	}
-	// A later point settles everything up to its own bin.
-	h.write("vp1", "far", incStart.Add(9*h.bin), 40)
-	h.check()
-	if st := h.inc.CUSUM(); st.FedBins != 9 {
-		t.Fatalf("fed %d bins, want 9", st.FedBins)
-	}
 }

@@ -7,10 +7,10 @@
 // The autocorrelation method comes in two result-identical forms: the
 // batch Autocorrelation entry point, which rebuilds everything per
 // call, and the persistent Incremental accumulator, which folds only
-// newly written points between advances. Their shared state, the
-// validity proof behind the incremental fast path, and the advisory
-// online onset detector are specified in docs/DETECTION.md §2-§5; the
-// equivalence contract between the two forms is docs/DETECTION.md §4.
+// newly written points between advances. Their shared state and the
+// validity proof behind the incremental fast path are specified in
+// docs/DETECTION.md §2-§4; the equivalence contract between the two
+// forms is docs/DETECTION.md §4.
 package analysis
 
 import (

@@ -668,39 +668,10 @@ type PeerHealth struct {
 // to its leader, served in /api/v1/health and /api/v1/stats
 // (docs/SERVING.md §8, docs/REPLICATION.md §6). The serving binary
 // fills it from replication.Follower.Status.
-//
-// Deprecated fields: the flat Leader/LeaderGeneration/LagGenerations/
-// LastSyncAgeSeconds/LastError fields are superseded by the Peers
-// array, which generalizes to relays and fronts; they remain populated
-// for one release (docs/SERVING.md §8).
 type ReplicationHealth struct {
-	// Leader is the leader base URL the follower tails, userinfo
-	// stripped.
-	//
-	// Deprecated: read Peers instead.
-	Leader string `json:"leader,omitempty"`
-	// LeaderGeneration is the newest manifest generation observed on
-	// the leader; AppliedGeneration is the generation this store last
-	// committed and serves.
-	//
-	// Deprecated: read Peers instead (AppliedGeneration stays).
-	LeaderGeneration  uint64 `json:"leader_generation,omitempty"`
+	// AppliedGeneration is the generation this store last committed
+	// and serves.
 	AppliedGeneration uint64 `json:"applied_generation"`
-	// LagGenerations is max(0, leader-applied): how many snapshot
-	// commits behind the leader this follower serves.
-	//
-	// Deprecated: read Peers instead.
-	LagGenerations uint64 `json:"lag_generations"`
-	// LastSyncAgeSeconds is the wall-clock age of the last successful
-	// tail cycle, or -1 when none has succeeded yet.
-	//
-	// Deprecated: read Peers instead.
-	LastSyncAgeSeconds float64 `json:"last_sync_age_seconds"`
-	// LastError is the most recent tail-cycle failure, cleared by the
-	// next success.
-	//
-	// Deprecated: read Peers instead.
-	LastError string `json:"last_error,omitempty"`
 	// Peers lists every replication peer this server talks to: exactly
 	// one "leader" entry on a follower or relay, one "replica" entry
 	// per replica on a front (docs/SERVING.md §8).

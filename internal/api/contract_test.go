@@ -327,7 +327,7 @@ func TestHealthFollower(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	rh = api.ReplicationHealth{Leader: "http://leader", LastSyncAgeSeconds: -1}
+	rh = api.ReplicationHealth{Peers: []api.PeerHealth{{Role: "leader", Address: "http://leader", LastSyncAgeSeconds: -1}}}
 	resp, err := http.Get(ts.URL + "/api/v1/health")
 	if err != nil {
 		t.Fatal(err)
@@ -349,10 +349,10 @@ func TestHealthFollower(t *testing.T) {
 		t.Fatalf("cold follower health %+v", cold)
 	}
 
-	rh = api.ReplicationHealth{
-		Leader: "http://leader", LeaderGeneration: 3, AppliedGeneration: 2,
-		LagGenerations: 1, LastSyncAgeSeconds: 0.5,
-	}
+	rh = api.ReplicationHealth{AppliedGeneration: 2, Peers: []api.PeerHealth{{
+		Role: "leader", Address: "http://leader", Generation: 3,
+		LagGenerations: 1, Healthy: true, LastSyncAgeSeconds: 0.5,
+	}}}
 	var warm struct {
 		Status      string                 `json:"status"`
 		Replication *api.ReplicationHealth `json:"replication"`
@@ -360,8 +360,8 @@ func TestHealthFollower(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/api/v1/health", &warm); code != 200 {
 		t.Fatalf("warm follower health status %d", code)
 	}
-	if warm.Status != "ok" || warm.Replication == nil ||
-		warm.Replication.LagGenerations != 1 || warm.Replication.AppliedGeneration != 2 {
+	if warm.Status != "ok" || warm.Replication == nil || len(warm.Replication.Peers) != 1 ||
+		warm.Replication.Peers[0].LagGenerations != 1 || warm.Replication.AppliedGeneration != 2 {
 		t.Fatalf("warm follower health %+v", warm)
 	}
 
@@ -372,7 +372,7 @@ func TestHealthFollower(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/api/v1/stats", &st); code != 200 {
 		t.Fatal("stats failed")
 	}
-	if st.Replication == nil || st.Replication.LeaderGeneration != 3 {
+	if st.Replication == nil || len(st.Replication.Peers) != 1 || st.Replication.Peers[0].Generation != 3 {
 		t.Fatalf("stats replication %+v", st.Replication)
 	}
 }

@@ -187,9 +187,9 @@ func (f *Front) PollNow(ctx context.Context) {
 
 // pollReplica probes one replica's /api/v1/health. A 200 is healthy; a
 // 503 "starting" follower or any error is not. The generation comes
-// from the health body, and the replication block's lag (distance to
-// the replica's own leader) is folded into the front's lag estimate by
-// recomputeLags.
+// from the health body, and the lag of the replication block's
+// "leader" peer (distance to the replica's own leader) is folded into
+// the front's lag estimate by recomputeLags.
 func (f *Front) pollReplica(ctx context.Context, rep *replicaState) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/api/v1/health", nil)
 	if err != nil {
@@ -217,7 +217,11 @@ func (f *Front) pollReplica(ctx context.Context, rep *replicaState) {
 	}
 	var leaderLag uint64
 	if h.Replication != nil {
-		leaderLag = h.Replication.LagGenerations
+		for _, p := range h.Replication.Peers {
+			if p.Role == "leader" {
+				leaderLag = p.LagGenerations
+			}
+		}
 	}
 	f.markPoll(rep, true, h.Generation, leaderLag, "")
 }
@@ -573,7 +577,7 @@ func (f *Front) serveStats(w http.ResponseWriter, res *upstream) {
 // replica is routable, 503 otherwise, with one "replica" peer per
 // replica in the nested peers array (docs/SERVING.md §8, §9).
 func (f *Front) serveHealth(w http.ResponseWriter) {
-	rh := &ReplicationHealth{LastSyncAgeSeconds: -1}
+	rh := &ReplicationHealth{}
 	var healthy int
 	var maxGen uint64
 	for _, rep := range f.replicas {

@@ -59,7 +59,7 @@ func (fr *fakeReplica) serve(w http.ResponseWriter, r *http.Request) {
 			Generation: fr.generation,
 			Replication: &ReplicationHealth{
 				AppliedGeneration: fr.generation,
-				LagGenerations:    fr.leaderLag,
+				Peers:             []PeerHealth{{Role: "leader", LagGenerations: fr.leaderLag, Healthy: true}},
 			},
 		}
 		if fr.healthErr {
@@ -169,6 +169,41 @@ func TestFrontSkipsLaggingReplica(t *testing.T) {
 	}
 	if fresh.served.Load() != 6 {
 		t.Fatalf("fresh replica served %d of 6", fresh.served.Load())
+	}
+}
+
+// TestFrontReadsLeaderLagFromPeers: a replica that reports its
+// distance to its leader only in the nested peers array — the one
+// health schema (docs/SERVING.md §8) — is judged by that lag, not by
+// its generation alone: at equal generations it is skipped in favour
+// of a fresh replica.
+func TestFrontReadsLeaderLagFromPeers(t *testing.T) {
+	fresh := newFakeReplica(t, "fresh", 10, 0)
+	var served atomic.Uint64
+	lagging := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/health" {
+			fmt.Fprint(w, `{"status":"ok","generation":10,"replication":{"applied_generation":10,`+
+				`"peers":[{"role":"leader","address":"http://leader","generation":13,"lag_generations":3,"healthy":true}]}}`)
+			return
+		}
+		served.Add(1)
+		fmt.Fprint(w, `{"replica":"lagging"}`)
+	}))
+	defer lagging.Close()
+	f, err := NewFront([]string{fresh.ts.URL, lagging.URL}, FrontOptions{HedgeAfter: time.Second, StalenessLag: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.PollNow(context.Background())
+
+	for i := 0; i < 4; i++ {
+		rec := get(t, f, "/api/v1/query?m=x")
+		if rec.Code != http.StatusOK || rec.Header().Get("Warning") != "" {
+			t.Fatalf("status %d, Warning %q", rec.Code, rec.Header().Get("Warning"))
+		}
+	}
+	if served.Load() != 0 || fresh.served.Load() != 4 {
+		t.Fatalf("lagging replica served %d, fresh %d of 4", served.Load(), fresh.served.Load())
 	}
 }
 

@@ -9,7 +9,6 @@ package api_test
 // in the background.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -57,6 +56,7 @@ func TestCongestionIncrementalMatchesBatch(t *testing.T) {
 			db := tsdb.Open()
 			live := api.New(db, api.WithWorkers(1))
 			defer live.Close()
+			snapDir := t.TempDir()
 			rng := netsim.NewRNG(seed)
 			write := func(side string, at time.Time, v float64) {
 				db.Write("tslp", map[string]string{"vp": "v", "link": "L", "side": side}, at, v)
@@ -88,11 +88,10 @@ func TestCongestionIncrementalMatchesBatch(t *testing.T) {
 				case p < 0.90: // retention trim of the window's head
 					db.Retain(netsim.Epoch.Add(time.Duration(rng.Intn(12))*time.Hour), end.Add(72*time.Hour))
 				default: // snapshot/restore hot-swap (epoch bump)
-					var buf bytes.Buffer
-					if err := db.Snapshot(&buf); err != nil {
+					if _, err := db.SnapshotDir(snapDir, tsdb.DirOptions{}); err != nil {
 						t.Fatal(err)
 					}
-					if err := db.Restore(&buf); err != nil {
+					if err := db.RestoreDir(snapDir, tsdb.DirOptions{}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -58,7 +58,7 @@ func newTamper(inner http.Handler) *tamper {
 
 func (tp *tamper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	mode, _ := tp.mode.Load().(string)
-	if mode == "" || !strings.HasPrefix(r.URL.Path, replication.SegmentPathPrefix) {
+	if mode == "" || !strings.HasPrefix(r.URL.Path, replication.SegmentPathPrefixV2) {
 		tp.inner.ServeHTTP(w, r)
 		return
 	}
@@ -333,7 +333,7 @@ func TestFollowerRunLoop(t *testing.T) {
 
 func TestExporterManifestConditional(t *testing.T) {
 	lf := newLeader(t)
-	resp, err := http.Get(lf.ts.URL + replication.ManifestPath)
+	resp, err := http.Get(lf.ts.URL + replication.ManifestPathV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestExporterManifestConditional(t *testing.T) {
 		t.Fatalf("generation header %q, want 1", resp.Header.Get(replication.GenerationHeader))
 	}
 
-	req, _ := http.NewRequest(http.MethodGet, lf.ts.URL+replication.ManifestPath, nil)
+	req, _ := http.NewRequest(http.MethodGet, lf.ts.URL+replication.ManifestPathV2, nil)
 	req.Header.Set("If-None-Match", etag)
 	resp2, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -377,10 +377,34 @@ func TestExporterManifestConditional(t *testing.T) {
 	}
 }
 
+// TestExporterServesOnlyV2 pins the single wire version: the retired
+// v1 manifest and segment paths are not routed (docs/REPLICATION.md §2).
+func TestExporterServesOnlyV2(t *testing.T) {
+	lf := newLeader(t)
+	m, err := tsdb.LoadManifest(lf.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{
+		strings.Replace(replication.ManifestPathV2, "/v2/", "/v1/", 1),
+		strings.Replace(replication.SegmentPathPrefixV2, "/v2/", "/v1/", 1) + m.Segments[0].File,
+	} {
+		resp, err := http.Get(lf.ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %s, want 404", path, resp.Status)
+		}
+	}
+}
+
 func TestExporterEmptyDir(t *testing.T) {
 	ts := httptest.NewServer(replication.NewExporter(t.TempDir()))
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + replication.ManifestPath)
+	resp, err := http.Get(ts.URL + replication.ManifestPathV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +430,7 @@ func TestExporterRejectsBadNames(t *testing.T) {
 		{"seg-00-0-g99.seg", http.StatusNotFound}, // well-formed but absent
 	}
 	for _, c := range cases {
-		resp, err := http.Get(lf.ts.URL + replication.SegmentPathPrefix + c.name)
+		resp, err := http.Get(lf.ts.URL + replication.SegmentPathPrefixV2 + c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +445,7 @@ func TestExporterRejectsBadNames(t *testing.T) {
 	if err := os.WriteFile(outside, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(lf.ts.URL + replication.SegmentPathPrefix + "..%2floot")
+	resp, err := http.Get(lf.ts.URL + replication.SegmentPathPrefixV2 + "..%2floot")
 	if err != nil {
 		t.Fatal(err)
 	}

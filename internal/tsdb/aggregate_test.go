@@ -150,13 +150,13 @@ func TestAggArgsRejected(t *testing.T) {
 	}
 }
 
-// TestAggEquivalenceAcrossVersions is the equivalence oracle over
-// every open mode and segment version: for gob v1, columnar v2, the
-// default v3, and a mixed v1+v3 directory, the eager open, the lazy
-// pushdown, and the lazy forced-decode folds all match the brute-force
-// per-point reference bit for bit (integer values make the sum
-// groupings exact).
-func TestAggEquivalenceAcrossVersions(t *testing.T) {
+// TestAggEquivalenceAcrossLayouts is the equivalence oracle over
+// every open mode and directory layout: for a full snapshot, a
+// compacted directory, and an incremental directory mixing reused and
+// rewritten segments, the eager open, the lazy pushdown, and the lazy
+// forced-decode folds all match the brute-force per-point reference
+// bit for bit (integer values make the sum groupings exact).
+func TestAggEquivalenceAcrossLayouts(t *testing.T) {
 	src := aggStore(4, 2)
 	from, to := t0, t0.Add(48*time.Hour)
 	want := refAggregate(src, "tslp", from, to, time.Hour)
@@ -164,27 +164,30 @@ func TestAggEquivalenceAcrossVersions(t *testing.T) {
 		t.Fatal("reference fold is empty")
 	}
 
-	dirs := map[string]string{
-		"gob v1":      snapToDir(t, src, DirOptions{FormatVersion: SegmentVersionGob}),
-		"columnar v2": snapToDir(t, src, DirOptions{FormatVersion: SegmentVersionBlocks}),
-		"columnar v3": snapToDir(t, src, DirOptions{}),
+	compacted := snapToDir(t, src, DirOptions{})
+	if st, err := CompactDir(compacted, CompactOptions{ColdBefore: maxTime}); err != nil || st.Written == 0 {
+		t.Fatalf("CompactDir: %+v, %v", st, err)
 	}
-	// Mixed directory: a v1 snapshot plus one dirtied window rewritten
-	// at the current default version.
+	dirs := map[string]string{
+		"full":      snapToDir(t, src, DirOptions{}),
+		"compacted": compacted,
+	}
+	// Incremental directory: a full snapshot plus one dirtied window
+	// rewritten, every other segment reused.
 	mixed := t.TempDir()
-	if _, err := src.SnapshotDir(mixed, DirOptions{Incremental: true, FormatVersion: SegmentVersionGob}); err != nil {
+	if _, err := src.SnapshotDir(mixed, DirOptions{Incremental: true}); err != nil {
 		t.Fatal(err)
 	}
 	src.Write("tslp", map[string]string{"link": "l1", "vp": "vp-a"}, t0.Add(30*time.Minute), 42)
 	if st, err := src.SnapshotDir(mixed, DirOptions{Incremental: true}); err != nil || st.Reused == 0 || st.Written == 0 {
-		t.Fatalf("mixed fixture: %+v, %v", st, err)
+		t.Fatalf("incremental fixture: %+v, %v", st, err)
 	}
-	dirs["mixed v1+v3"] = mixed
+	dirs["incremental"] = mixed
 	wantMixed := refAggregate(src, "tslp", from, to, time.Hour)
 
 	for name, dir := range dirs {
 		ref := want
-		if name == "mixed v1+v3" {
+		if name == "incremental" {
 			ref = wantMixed
 		}
 		eg := eagerOpen(t, dir)
@@ -211,7 +214,7 @@ func TestAggEquivalenceAcrossVersions(t *testing.T) {
 }
 
 // TestAggZeroDecodePushdown is the acceptance gate: a one-hour-step
-// aggregate over a fully contained multi-day v3 window decodes zero
+// aggregate over a fully contained multi-day window decodes zero
 // blocks — every bucket is answered from summaries — and the result is
 // bit-identical to the forced-decode fold of the same store.
 func TestAggZeroDecodePushdown(t *testing.T) {
@@ -353,52 +356,10 @@ func TestAggNaNSemantics(t *testing.T) {
 	}
 	check("lazy decode", forceDecodeAggregate(t, lz, "m", from, to, time.Hour, AggAll), nil)
 
-	// Without sum the v2 fallback never triggers either: min/max/count
-	// come from every summary version.
+	// A query that does not ask for the sum must not report one.
 	out, err = lz.QueryAggregate("m", nil, from, to, time.Hour, AggCount|AggMin|AggMax)
 	if err != nil || !math.IsNaN(out[0].Buckets[0].Sum) || !math.IsNaN(out[0].Buckets[0].Mean) {
 		t.Fatalf("unrequested sum leaked: %+v (%v)", out[0].Buckets[0], err)
-	}
-}
-
-// TestAggSumlessV2DecodesOnlyForSum: on a v2 directory (summaries
-// without Sum), count/min/max still push down with zero decodes, while
-// requesting a sum falls back to decode — and both answers match the
-// reference.
-func TestAggSumlessV2DecodesOnlyForSum(t *testing.T) {
-	src := aggStore(2, 1)
-	dir := snapToDir(t, src, DirOptions{FormatVersion: SegmentVersionBlocks})
-	lz := lazyOpen(t, dir, DirOptions{})
-	from, to := t0, t0.Add(24*time.Hour)
-
-	before := lazyStats(t, lz)
-	got, err := lz.QueryAggregate("tslp", nil, from, to, time.Hour, AggCount|AggMin|AggMax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := lazyStats(t, lz).BlocksDecoded - before.BlocksDecoded; d != 0 {
-		t.Fatalf("sum-less aggregate on v2 decoded %d blocks, want 0", d)
-	}
-	ref := refAggregate(src, "tslp", from, to, time.Hour)
-	for i := range ref {
-		for j := range ref[i].Buckets {
-			ref[i].Buckets[j].Sum, ref[i].Buckets[j].Mean = math.NaN(), math.NaN()
-		}
-	}
-	if !aggEqualBits(got, ref) {
-		t.Fatal("v2 count/min/max pushdown differs from reference")
-	}
-
-	before = lazyStats(t, lz)
-	got, err = lz.QueryAggregate("tslp", nil, from, to, time.Hour, AggAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := lazyStats(t, lz).BlocksDecoded - before.BlocksDecoded; d == 0 {
-		t.Fatal("sum over v2 blocks decoded nothing")
-	}
-	if !aggEqualBits(got, refAggregate(src, "tslp", from, to, time.Hour)) {
-		t.Fatal("v2 sum fallback differs from reference")
 	}
 }
 

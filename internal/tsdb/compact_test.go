@@ -1,141 +1,87 @@
 package tsdb
 
-// Tests for the v2 columnar segment format and the level-compaction
-// pass (docs/PERSISTENCE.md §8): format-version selection, mixed v1/v2
-// directories, the named version error, digest-preserving compaction,
-// and the interplay of compaction with incremental snapshots,
-// retention and crash leftovers.
+// Tests for the columnar segment format and the level-compaction pass
+// (docs/PERSISTENCE.md §8): the named version error, digest-preserving
+// compaction, and the interplay of compaction with incremental
+// snapshots, retention and crash leftovers.
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
-// segmentVersions reads every committed segment's header version.
-func segmentVersions(t *testing.T, dir string) map[int]int {
-	t.Helper()
-	m, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	versions := make(map[int]int)
-	for _, sm := range m.Segments {
-		_, v, err := loadSegmentPayload(dir, sm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		versions[v]++
-	}
-	return versions
-}
-
-// dirBytes sums the committed segment files' sizes.
-func dirBytes(t *testing.T, dir string) int64 {
-	t.Helper()
-	m, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int64
-	for _, sm := range m.Segments {
-		fi, err := os.Stat(filepath.Join(dir, sm.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += fi.Size()
-	}
-	return n
-}
-
-// TestSnapshotDirFormatVersions: the default snapshot writes v2, the
-// legacy option writes v1, and both restore to the same digest
-// (docs/PERSISTENCE.md §8 — the format changes, the content cannot).
-func TestSnapshotDirFormatVersions(t *testing.T) {
-	db := buildSegStore(time.Hour)
-	for _, tc := range []struct {
-		format, want int
-	}{
-		{format: 0, want: SegmentVersion},
-		{format: SegmentVersion, want: SegmentVersion},
-		{format: SegmentVersionGob, want: SegmentVersionGob},
-	} {
-		dir := t.TempDir()
-		if _, err := db.SnapshotDir(dir, DirOptions{FormatVersion: tc.format}); err != nil {
-			t.Fatalf("format %d: %v", tc.format, err)
-		}
-		versions := segmentVersions(t, dir)
-		if len(versions) != 1 || versions[tc.want] == 0 {
-			t.Fatalf("format %d: segment versions %v, want only v%d", tc.format, versions, tc.want)
-		}
-		assertRestoresTo(t, dir, db)
-	}
-	if _, err := db.SnapshotDir(t.TempDir(), DirOptions{FormatVersion: SegmentVersion + 1}); err == nil {
-		t.Fatal("SnapshotDir accepted an unknown format version")
-	}
-}
-
-// TestMixedVersionRestore: a directory holding v1 and v2 segments side
-// by side — the state of a store mid-migration — restores to exactly
-// the digest of an all-v1 and an all-v2 snapshot of the same store.
-func TestMixedVersionRestore(t *testing.T) {
-	db := buildSegStore(time.Hour)
-	want := db.Digest()
-	dir := t.TempDir()
-	if _, err := db.SnapshotDir(dir, DirOptions{FormatVersion: SegmentVersionGob, Incremental: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Dirty a few windows, then snapshot incrementally in v2: clean v1
-	// segments are reused byte-for-byte, dirty windows are rewritten v2.
-	db.Write("tslp", map[string]string{"link": "l1", "vp": "vp-a", "side": "far"}, t0.Add(30*time.Minute), 99)
-	db.Write("loss", map[string]string{"link": "l3", "vp": "vp-b", "side": "near"}, t0.Add(4*time.Hour), 1)
-	want = db.Digest()
-	st, err := db.SnapshotDir(dir, DirOptions{Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Reused == 0 || st.Written == 0 {
-		t.Fatalf("expected a mix of reused and rewritten segments: %+v", st)
-	}
-	versions := segmentVersions(t, dir)
-	if versions[SegmentVersionGob] == 0 || versions[SegmentVersion] == 0 {
-		t.Fatalf("directory is not mixed-version: %v", versions)
-	}
-
-	got := Open()
-	if err := got.RestoreDir(dir, DirOptions{}); err != nil {
-		t.Fatalf("RestoreDir on mixed-version dir: %v", err)
-	}
-	if got.Digest() != want {
-		t.Fatal("mixed-version directory does not restore to the source digest")
-	}
-}
-
-// TestUnknownSegmentVersionNamedError: a future format version is
-// rejected with an error wrapping ErrSegmentVersion, so callers can
-// distinguish version skew from corruption programmatically.
+// TestUnknownSegmentVersionNamedError: every segment version other
+// than SegmentVersion — the retired gob v1 and sum-less v2 formats as
+// well as a future v4 — is rejected on every read path with an error
+// wrapping ErrSegmentVersion, never a panic or a silent skip, so
+// callers can tell version skew from corruption programmatically
+// (docs/PERSISTENCE.md §2, "Versioning").
 func TestUnknownSegmentVersionNamedError(t *testing.T) {
-	db := buildSegStore(time.Hour)
-	dir := t.TempDir()
-	if _, err := db.SnapshotDir(dir, DirOptions{}); err != nil {
-		t.Fatal(err)
+	window := time.Hour
+	paths := map[string]func(dir string, sm SegmentMeta) error{
+		"eager RestoreDir": func(dir string, _ SegmentMeta) error {
+			return Open().RestoreDir(dir, DirOptions{})
+		},
+		"lazy RestoreDir": func(dir string, _ SegmentMeta) error {
+			return Open().RestoreDir(dir, DirOptions{Lazy: true})
+		},
+		"CompactDir": func(dir string, _ SegmentMeta) error {
+			_, err := CompactDir(dir, CompactOptions{ColdBefore: maxTime})
+			return err
+		},
+		"RetainDir": func(dir string, sm SegmentMeta) error {
+			// A cut inside sm's window makes it the boundary segment,
+			// the one RetainDir reads.
+			_, _, err := RetainDir(dir, time.Unix(0, sm.WindowStart).Add(window/2))
+			return err
+		},
+		"OpenDeltaBase": func(dir string, sm SegmentMeta) error {
+			_, err := OpenDeltaBase(filepath.Join(dir, sm.File), sm)
+			return err
+		},
 	}
-	seg := segmentAt(t, dir, func(SegmentMeta) bool { return true })
-	path := filepath.Join(dir, seg)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[11] = byte(SegmentVersion + 1)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = Open().RestoreDir(dir, DirOptions{})
-	if !errors.Is(err, ErrSegmentVersion) {
-		t.Fatalf("error does not wrap ErrSegmentVersion: %v", err)
+	for _, version := range []uint32{1, 2, SegmentVersion + 1} {
+		for name, read := range paths {
+			db := buildSegStore(window)
+			dir := t.TempDir()
+			if _, err := db.SnapshotDir(dir, DirOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			m, err := readManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Rewrite the version field (docs/PERSISTENCE.md §2 field 2)
+			// of every committed segment; the CRC covers the payload
+			// only, so nothing but the version disagrees.
+			for _, sm := range m.Segments {
+				path := filepath.Join(dir, sm.File)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.BigEndian.PutUint32(data[8:12], version)
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				return read(dir, m.Segments[0])
+			}()
+			if !errors.Is(err, ErrSegmentVersion) {
+				t.Fatalf("v%d via %s: error does not wrap ErrSegmentVersion: %v", version, name, err)
+			}
+		}
 	}
 }
 
@@ -210,41 +156,6 @@ func TestCompactDirEquivalence(t *testing.T) {
 	}
 	if again.Merged != 0 || again.Generation != st.Generation {
 		t.Fatalf("second compaction was not a no-op: %+v", again)
-	}
-}
-
-// TestCompactDirUpgradesGob: compacting a v1 directory rewrites the
-// merged spans as v2 — the migration path from a pre-v2 data
-// directory — while preserving the digest and shrinking bytes on disk.
-func TestCompactDirUpgradesGob(t *testing.T) {
-	db := buildSegStore(time.Hour)
-	want := db.Digest()
-	dir := t.TempDir()
-	if _, err := db.SnapshotDir(dir, DirOptions{FormatVersion: SegmentVersionGob}); err != nil {
-		t.Fatal(err)
-	}
-	bytesBefore := dirBytes(t, dir)
-
-	st, err := CompactDir(dir, CompactOptions{ColdBefore: maxTime})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Merged == 0 {
-		t.Fatalf("nothing merged: %+v", st)
-	}
-	versions := segmentVersions(t, dir)
-	if versions[SegmentVersion] == 0 {
-		t.Fatalf("no v2 segment after compacting a gob directory: %v", versions)
-	}
-	if got := dirBytes(t, dir); got >= bytesBefore {
-		t.Fatalf("compaction did not shrink the directory: %d -> %d bytes", bytesBefore, got)
-	}
-	got := Open()
-	if err := got.RestoreDir(dir, DirOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got.Digest() != want {
-		t.Fatal("gob-to-v2 compaction changed the restored digest")
 	}
 }
 

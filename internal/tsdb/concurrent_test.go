@@ -1,8 +1,8 @@
 package tsdb
 
 import (
-	"bytes"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +11,7 @@ import (
 var stressEpoch = time.Date(2016, 3, 1, 0, 0, 0, 0, time.UTC)
 
 // TestConcurrentStress hammers WriteBatch, Write, Query, TagValues,
-// Snapshot and Retain from many goroutines at once. Its value is under
+// SnapshotDir and Retain from many goroutines at once. Its value is under
 // `go test -race`: any unguarded shard or index access trips the
 // detector. It also checks that nothing is lost: every written point is
 // accounted for at the end.
@@ -80,24 +80,25 @@ func TestConcurrentStress(t *testing.T) {
 		}(r)
 	}
 
-	// Snapshotters: serialize a consistent view while writes continue.
+	// Snapshotters: persist a consistent view while writes continue.
+	snapRoot := t.TempDir()
 	for s := 0; s < snapshotters; s++ {
 		wg.Add(1)
-		go func() {
+		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				var buf bytes.Buffer
-				if err := db.Snapshot(&buf); err != nil {
+				dir := filepath.Join(snapRoot, fmt.Sprintf("s%d-%d", s, i))
+				if _, err := db.SnapshotDir(dir, DirOptions{}); err != nil {
 					t.Errorf("snapshot: %v", err)
 					return
 				}
 				// A snapshot must itself restore cleanly.
-				if err := Open().Restore(&buf); err != nil {
+				if err := Open().RestoreDir(dir, DirOptions{}); err != nil {
 					t.Errorf("restore: %v", err)
 					return
 				}
 			}
-		}()
+		}(s)
 	}
 
 	// One goroutine ages out data in a window nothing writes into, so the
@@ -206,12 +207,8 @@ func TestWriteBatchEquivalentToWrites(t *testing.T) {
 	for _, p := range mk() {
 		b.Write(p.Measurement, p.Tags, p.Time, p.Value)
 	}
-	var bufA, bufB bytes.Buffer
-	if err := a.Snapshot(&bufA); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Snapshot(&bufB); err != nil {
-		t.Fatal(err)
+	if a.Digest() != b.Digest() {
+		t.Fatal("batch and per-point writes built different stores")
 	}
 	if a.PointCount() != b.PointCount() || a.SeriesCount() != b.SeriesCount() {
 		t.Fatalf("batch store %d/%d points/series, write store %d/%d",

@@ -4,18 +4,14 @@ package tsdb
 // (shard, time window) pair plus a manifest, the way InfluxDB's TSM
 // engine persists the deployed system's backend (§3 of the paper) —
 // retention becomes a file delete and snapshot/restore parallelizes
-// over segments instead of squeezing through one gob stream.
+// over segments.
 //
 // The segment file format implemented here is specified normatively in
 // docs/PERSISTENCE.md; the constants below mirror its §2 and tests cite
-// the doc section they enforce. The single-stream Snapshot/Restore in
-// tsdb.go remains as the compatibility path, and the two are proven
-// equivalent through the canonical digest (Digest).
+// the doc section they enforce.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -36,28 +32,15 @@ const (
 	// field 1). Eight bytes so a corrupt or foreign file fails fast.
 	SegmentMagic = "ITSDBSEG"
 
-	// SegmentVersion is the newest segment format version this package
-	// writes and the default for new snapshots: columnar per-series
-	// blocks of delta-of-delta varint timestamps and Gorilla
-	// XOR-compressed values (docs/PERSISTENCE.md §8), with a per-block
-	// Sum summary field enabling aggregate pushdown
-	// (docs/PERSISTENCE.md §10). Readers accept any version <=
-	// SegmentVersion; a larger version is a descriptive error wrapping
+	// SegmentVersion is the one segment format version this package
+	// writes and reads: columnar per-series blocks of delta-of-delta
+	// varint timestamps and Gorilla XOR-compressed values
+	// (docs/PERSISTENCE.md §8), with a per-block Sum summary field
+	// enabling aggregate pushdown (docs/PERSISTENCE.md §10). A header
+	// carrying any other version is a descriptive error wrapping
 	// ErrSegmentVersion, never a silent skip (docs/PERSISTENCE.md §2,
 	// "Versioning").
 	SegmentVersion = 3
-
-	// SegmentVersionBlocks is the v2 columnar payload encoding — the
-	// same block layout as v3 minus the Sum summary field. Still
-	// written on request (DirOptions.FormatVersion) and read forever;
-	// readers needing a sum from a v2 block decode it instead
-	// (docs/PERSISTENCE.md §10.2).
-	SegmentVersionBlocks = 2
-
-	// SegmentVersionGob is the legacy v1 payload encoding — one
-	// encoding/gob stream of the segment's series. Still written on
-	// request (DirOptions.FormatVersion) and read forever.
-	SegmentVersionGob = 1
 
 	// segmentHeaderSize is the fixed byte length of the header laid out
 	// in docs/PERSISTENCE.md §2: magic(8) + version(4) + shard(4) +
@@ -82,11 +65,11 @@ const DefaultWindow = 24 * time.Hour
 // readers (docs/PERSISTENCE.md §2, field 9).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrSegmentVersion is wrapped by every "segment format version newer
-// than supported" error, so readers that must distinguish a
-// version-skewed directory from plain corruption can errors.Is against
-// it (docs/PERSISTENCE.md §2, "Versioning").
-var ErrSegmentVersion = errors.New("segment format version newer than supported")
+// ErrSegmentVersion is wrapped by every "segment header carries a
+// version other than SegmentVersion" error, so readers that must
+// distinguish a version-skewed directory from plain corruption can
+// errors.Is against it (docs/PERSISTENCE.md §2, "Versioning").
+var ErrSegmentVersion = errors.New("unsupported segment format version")
 
 // DirOptions configures SnapshotDir and RestoreDir.
 type DirOptions struct {
@@ -101,34 +84,19 @@ type DirOptions struct {
 	// store's bookkeeping (first snapshot, foreign directory, or a
 	// RetainDir ran in between).
 	Incremental bool
-	// FormatVersion selects the payload encoding SnapshotDir writes: 0
-	// means the current default (SegmentVersion, the columnar v3
-	// format with block sums), SegmentVersionBlocks the sum-less v2
-	// block format, SegmentVersionGob the legacy gob payload. It has
-	// no effect on reads — RestoreDir decodes every supported version,
-	// and incremental snapshots reuse clean segments of any version
-	// byte-for-byte, so mixed-version directories are normal
-	// (docs/PERSISTENCE.md §8, §10).
-	FormatVersion int
-	// Lazy makes RestoreDir map committed v2 segments without decoding
+	// Lazy makes RestoreDir map committed segments without decoding
 	// their points: series become block-index stubs and queries decode
 	// only the blocks that survive summary pruning, on demand, through
 	// a small LRU (docs/PERSISTENCE.md §9). Reads are byte-identical to
-	// an eager open; gob v1 segments fall back to eager decode
-	// transparently. A store already lazy over the same directory
+	// an eager open. A store already lazy over the same directory
 	// reuses held segments, making a repeat RestoreDir (a follower
 	// hot-swap) O(changed segments). Ignored by SnapshotDir.
 	Lazy bool
 	// BlockCacheBytes bounds the decoded-block LRU a lazy restore
 	// installs by the bytes its decoded columns occupy
-	// (docs/PERSISTENCE.md §10.3); 0 means DefaultBlockCacheBytes
-	// (unless BlockCacheBlocks sets a legacy budget). Ignored unless
-	// Lazy.
+	// (docs/PERSISTENCE.md §10.3); 0 means DefaultBlockCacheBytes.
+	// Ignored unless Lazy.
 	BlockCacheBytes int64
-	// BlockCacheBlocks is the legacy block-count cache bound, kept for
-	// compatibility: when set (and BlockCacheBytes is 0) the byte
-	// budget is BlockCacheBlocks full blocks. Ignored unless Lazy.
-	BlockCacheBlocks int
 }
 
 // DirStats reports what a SnapshotDir call did.
@@ -310,7 +278,7 @@ func (db *DB) planSegments() []*segPlan {
 	return out
 }
 
-// toBlockSeries converts store series slices into the canonical v2
+// toBlockSeries converts store series slices into the canonical
 // payload form: one blockenc.Series per distinct key, points
 // concatenated in slice order (callers keep per-key slices
 // time-ascending), sorted by key so identical content encodes to
@@ -350,37 +318,18 @@ func toBlockSeries(list []*Series) []blockenc.Series {
 	return out
 }
 
-// encodeSegmentPayload produces the payload bytes for one segment in
-// the requested format version and reports how many series entries the
-// payload holds (distinct keys for v2, series slices for gob v1).
-func encodeSegmentPayload(version int, list []*Series) (payload []byte, seriesCount int, err error) {
-	switch version {
-	case SegmentVersionGob:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(list); err != nil {
-			return nil, 0, fmt.Errorf("encode gob payload: %w", err)
-		}
-		return buf.Bytes(), len(list), nil
-	case SegmentVersionBlocks, SegmentVersion:
-		bs := toBlockSeries(list)
-		return blockenc.EncodePayload(bs, version == SegmentVersion), len(bs), nil
-	default:
-		return nil, 0, fmt.Errorf("unsupported segment format version %d", version)
-	}
-}
-
 // writeSegmentFile writes one segment file (docs/PERSISTENCE.md §2)
 // under a temp name, fsyncs it, renames it into its gen-qualified
 // place, and returns its manifest entry. It never touches a previous
 // generation's file; until a manifest referencing the new name is
 // published, the file is an inert leftover (docs/PERSISTENCE.md §4).
-func writeSegmentFile(dir string, gen uint64, version, shard int, winStart, winEnd int64, seriesCount, points, level int, payload []byte) (SegmentMeta, error) {
+func writeSegmentFile(dir string, gen uint64, shard int, winStart, winEnd int64, seriesCount, points, level int, payload []byte) (SegmentMeta, error) {
 	name := segmentFileName(shard, winStart, gen)
 	crc := crc32.Checksum(payload, crcTable)
 
 	hdr := make([]byte, 0, segmentHeaderSize)
 	hdr = append(hdr, SegmentMagic...)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(version))
+	hdr = binary.BigEndian.AppendUint32(hdr, SegmentVersion)
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(shard))
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(winStart))
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(winEnd))
@@ -440,17 +389,17 @@ const appendExtendMaxFragmentation = 64
 // sub-segment checkpoint the delta-shipping protocol rides on
 // (docs/REPLICATION.md §8). It reports ok = false whenever the plan is
 // not a pure append of the predecessor (backfill, changed keys,
-// version mismatch, excessive fragmentation, or any read error), in
+// excessive fragmentation, or any read error), in
 // which case the caller falls back to the full encoder. On success the
 // returned meta carries the append cursor: the byte offset into the new
 // payload where the appended entries begin.
-func appendExtendSegment(dir string, gen uint64, version int, p *segPlan) (SegmentMeta, bool) {
+func appendExtendSegment(dir string, gen uint64, p *segPlan) (SegmentMeta, bool) {
 	prev := *p.prev
-	payload, prevVersion, err := loadSegmentPayload(dir, prev)
-	if err != nil || prevVersion != version {
+	payload, err := loadSegmentPayload(dir, prev)
+	if err != nil {
 		return SegmentMeta{}, false
 	}
-	oldList, err := decodeBlockPayload(payload, prev, version)
+	oldList, err := decodeBlockPayload(payload, prev)
 	if err != nil {
 		return SegmentMeta{}, false
 	}
@@ -560,9 +509,9 @@ func appendExtendSegment(dir string, gen uint64, version int, p *segPlan) (Segme
 	cursor := int64(len(out) + len(oldEntries))
 	out = append(out, oldEntries...)
 	for _, s := range appended {
-		out = blockenc.AppendSeries(out, s, version == SegmentVersion)
+		out = blockenc.AppendSeries(out, s)
 	}
-	meta, err := writeSegmentFile(dir, gen, version, p.shard, p.winStart, p.winEnd, newCount, points, p.level, out)
+	meta, err := writeSegmentFile(dir, gen, p.shard, p.winStart, p.winEnd, newCount, points, p.level, out)
 	if err != nil {
 		return SegmentMeta{}, false
 	}
@@ -570,22 +519,19 @@ func appendExtendSegment(dir string, gen uint64, version int, p *segPlan) (Segme
 	return meta, true
 }
 
-// encodeSegment encodes a plan's payload in the requested format
-// version, writes the segment file, and fills p.meta. A plan carrying
-// an append-extend candidate (segPlan.prev) tries the cheap path first
-// and falls back to the full encoder whenever it does not apply.
-func encodeSegment(dir string, gen uint64, version int, p *segPlan) error {
-	if p.prev != nil && version != SegmentVersionGob {
-		if meta, ok := appendExtendSegment(dir, gen, version, p); ok {
+// encodeSegment encodes a plan's payload, writes the segment file, and
+// fills p.meta. A plan carrying an append-extend candidate
+// (segPlan.prev) tries the cheap path first and falls back to the full
+// encoder whenever it does not apply.
+func encodeSegment(dir string, gen uint64, p *segPlan) error {
+	if p.prev != nil {
+		if meta, ok := appendExtendSegment(dir, gen, p); ok {
 			p.meta = meta
 			return nil
 		}
 	}
-	payload, seriesCount, err := encodeSegmentPayload(version, p.series)
-	if err != nil {
-		return fmt.Errorf("tsdb: encode segment shard %d window %d: %w", p.shard, p.winStart, err)
-	}
-	meta, err := writeSegmentFile(dir, gen, version, p.shard, p.winStart, p.winEnd, seriesCount, p.points, p.level, payload)
+	bs := toBlockSeries(p.series)
+	meta, err := writeSegmentFile(dir, gen, p.shard, p.winStart, p.winEnd, len(bs), p.points, p.level, blockenc.EncodePayload(bs))
 	if err != nil {
 		return err
 	}
@@ -657,13 +603,6 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	// generation (segment file names embed it, so it is fixed up front).
 	incremental := opts.Incremental && db.snapDir == dir && db.snapGen > 0 &&
 		prevErr == nil && prev.Generation == db.snapGen && prev.WindowNanos == int64(db.window)
-	version := opts.FormatVersion
-	if version == 0 {
-		version = SegmentVersion
-	}
-	if version < SegmentVersionGob || version > SegmentVersion {
-		return st, fmt.Errorf("tsdb: snapshotdir: unsupported segment format version %d", version)
-	}
 
 	// Committed segments may span several base windows after compaction
 	// (docs/PERSISTENCE.md §8.4), so incremental reuse works per span:
@@ -754,7 +693,7 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 	jobs := make([]func() error, len(toWrite))
 	for i, p := range toWrite {
 		p := p
-		jobs[i] = func() error { return encodeSegment(dir, gen, version, p) }
+		jobs[i] = func() error { return encodeSegment(dir, gen, p) }
 	}
 	if err := pool.DoErr(jobs...); err != nil {
 		return st, fmt.Errorf("tsdb: snapshotdir: %w", err)
@@ -808,20 +747,18 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 // verifySegmentBytes checks a segment file's bytes against its
 // manifest entry — header length, magic, version, identity fields,
 // payload length, CRC-32C (docs/PERSISTENCE.md §2, reader
-// obligations) — and returns the payload plus the header's format
-// version. The payload decode and the decoded-count checks stay with
-// the caller; VerifySegmentFile and readSegment share everything up to
-// that point.
-func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, int, error) {
+// obligations) — and returns the payload. The payload decode and the
+// decoded-count checks stay with the caller; VerifySegmentFile and
+// readSegment share everything up to that point.
+func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, error) {
 	if len(data) < segmentHeaderSize {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: truncated header (%d bytes)", sm.File, len(data))
+		return nil, fmt.Errorf("tsdb: segment %s: truncated header (%d bytes)", sm.File, len(data))
 	}
 	if string(data[:8]) != SegmentMagic {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: bad magic %q", sm.File, data[:8])
+		return nil, fmt.Errorf("tsdb: segment %s: bad magic %q", sm.File, data[:8])
 	}
-	version := binary.BigEndian.Uint32(data[8:12])
-	if version > SegmentVersion {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: %w: format version %d, supported <= %d (see docs/PERSISTENCE.md)", sm.File, ErrSegmentVersion, version, SegmentVersion)
+	if err := checkSegmentVersion(data); err != nil {
+		return nil, fmt.Errorf("tsdb: segment %s: %w", sm.File, err)
 	}
 	shard := int(binary.BigEndian.Uint32(data[12:16]))
 	winStart := int64(binary.BigEndian.Uint64(data[16:24]))
@@ -832,54 +769,47 @@ func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, int, error) {
 	crc := binary.BigEndian.Uint32(data[52:56])
 	if shard != sm.Shard || winStart != sm.WindowStart || winEnd != sm.WindowEnd ||
 		series != sm.Series || points != sm.Points || crc != sm.CRC {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: header disagrees with manifest entry", sm.File)
+		return nil, fmt.Errorf("tsdb: segment %s: header disagrees with manifest entry", sm.File)
 	}
 	payload := data[segmentHeaderSize:]
 	if len(payload) != payloadLen {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: truncated payload (%d of %d bytes)", sm.File, len(payload), payloadLen)
+		return nil, fmt.Errorf("tsdb: segment %s: truncated payload (%d of %d bytes)", sm.File, len(payload), payloadLen)
 	}
 	if got := crc32.Checksum(payload, crcTable); got != crc {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: checksum mismatch (got %08x, want %08x)", sm.File, got, crc)
+		return nil, fmt.Errorf("tsdb: segment %s: checksum mismatch (got %08x, want %08x)", sm.File, got, crc)
 	}
-	return payload, int(version), nil
+	return payload, nil
+}
+
+// checkSegmentVersion rejects a segment header whose version field
+// (docs/PERSISTENCE.md §2, field 2) is not SegmentVersion. The caller
+// has already checked the header's length and magic.
+func checkSegmentVersion(hdr []byte) error {
+	if v := binary.BigEndian.Uint32(hdr[8:12]); v != SegmentVersion {
+		return fmt.Errorf("%w %d (only version %d is read, see docs/PERSISTENCE.md §2)", ErrSegmentVersion, v, SegmentVersion)
+	}
+	return nil
 }
 
 // loadSegmentPayload reads one segment file from disk and verifies it
-// against its manifest entry, returning the raw payload and its format
-// version without decoding it. readSegment, RetainDir's block-level
-// boundary trim and CompactDir's zero-decode merge all start here.
-func loadSegmentPayload(dir string, sm SegmentMeta) ([]byte, int, error) {
+// against its manifest entry, returning the raw payload without
+// decoding it. readSegment, RetainDir's block-level boundary trim and
+// CompactDir's zero-decode merge all start here.
+func loadSegmentPayload(dir string, sm SegmentMeta) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(dir, sm.File))
 	if err != nil {
-		return nil, 0, fmt.Errorf("tsdb: segment %s: %w", sm.File, err)
+		return nil, fmt.Errorf("tsdb: segment %s: %w", sm.File, err)
 	}
 	return verifySegmentBytes(data, sm)
 }
 
-// decodeGobPayload decodes a v1 (gob) payload into series slices and
-// cross-checks the decoded counts against the manifest entry.
-func decodeGobPayload(payload []byte, sm SegmentMeta) ([]*Series, error) {
-	var list []*Series
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&list); err != nil {
-		return nil, fmt.Errorf("tsdb: segment %s: decode: %w", sm.File, err)
-	}
-	n := 0
-	for _, s := range list {
-		n += len(s.Points)
-	}
-	if len(list) != sm.Series || n != sm.Points {
-		return nil, fmt.Errorf("tsdb: segment %s: payload holds %d series/%d points, header says %d/%d", sm.File, len(list), n, sm.Series, sm.Points)
-	}
-	return list, nil
-}
-
-// decodeBlockPayload structurally decodes a v2 or v3 payload (version
-// selects the layout) and cross-checks the series and (summary) point
-// counts against the manifest entry. Blocks stay encoded — callers
-// that only reorganize blocks (compaction, retention trim) never pay
-// for a point decode (docs/PERSISTENCE.md §8).
-func decodeBlockPayload(payload []byte, sm SegmentMeta, version int) ([]blockenc.Series, error) {
-	list, err := blockenc.DecodePayload(payload, version == SegmentVersion)
+// decodeBlockPayload structurally decodes a payload and cross-checks
+// the series and (summary) point counts against the manifest entry.
+// Blocks stay encoded — callers that only reorganize blocks
+// (compaction, retention trim) never pay for a point decode
+// (docs/PERSISTENCE.md §8).
+func decodeBlockPayload(payload []byte, sm SegmentMeta) ([]blockenc.Series, error) {
+	list, err := blockenc.DecodePayload(payload)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: segment %s: decode: %w", sm.File, err)
 	}
@@ -895,7 +825,7 @@ func decodeBlockPayload(payload []byte, sm SegmentMeta, version int) ([]blockenc
 	return list, nil
 }
 
-// blockSeriesToSeries fully decodes v2 payload series into store form.
+// blockSeriesToSeries fully decodes payload series into store form.
 func blockSeriesToSeries(list []blockenc.Series, sm SegmentMeta) ([]*Series, error) {
 	out := make([]*Series, 0, len(list))
 	for i := range list {
@@ -952,28 +882,18 @@ func loadCommittedDir(dir string) (*Manifest, error) {
 
 // readSegment loads and fully validates one segment file against its
 // manifest entry: magic, version, identity fields, payload checksum
-// (docs/PERSISTENCE.md §2), then decodes the payload in whichever
-// format version the header declares. It returns the decoded series
-// slices.
+// (docs/PERSISTENCE.md §2), then decodes the payload. It returns the
+// decoded series slices.
 func readSegment(dir string, sm SegmentMeta) ([]*Series, error) {
-	payload, version, err := loadSegmentPayload(dir, sm)
+	payload, err := loadSegmentPayload(dir, sm)
 	if err != nil {
 		return nil, err
 	}
-	switch version {
-	case SegmentVersionGob:
-		return decodeGobPayload(payload, sm)
-	case SegmentVersionBlocks, SegmentVersion:
-		list, err := decodeBlockPayload(payload, sm, version)
-		if err != nil {
-			return nil, err
-		}
-		return blockSeriesToSeries(list, sm)
-	default:
-		// Unreachable: verifySegmentBytes rejects versions above
-		// SegmentVersion and no release wrote other versions.
-		return nil, fmt.Errorf("tsdb: segment %s: %w: format version %d", sm.File, ErrSegmentVersion, version)
+	list, err := decodeBlockPayload(payload, sm)
+	if err != nil {
+		return nil, err
 	}
+	return blockSeriesToSeries(list, sm)
 }
 
 // RestoreDir replaces the store contents with the segment directory's
@@ -1075,9 +995,8 @@ func (db *DB) RestoreDir(dir string, opts DirOptions) error {
 	db.window = time.Duration(m.WindowNanos)
 	db.snapDir = dir
 	db.snapGen = m.Generation
-	// Like the stream Restore: the decoded series restart at version
-	// zero, so the epoch must move for ViewStamp to notice the
-	// replacement (docs/SERVING.md §2).
+	// The decoded series restart at version zero, so the epoch must
+	// move for ViewStamp to notice the replacement (docs/SERVING.md §2).
 	db.epoch++
 	return nil
 }
@@ -1131,7 +1050,7 @@ func RetainDir(dir string, olderThan time.Time) (segmentsRemoved, pointsDropped 
 		case sm.WindowStart < cut:
 			// Boundary window: drop points before the cut and rewrite
 			// under this generation's name (the old file dies at commit).
-			// v2 segments trim at block granularity — whole blocks before
+			// Segments trim at block granularity — whole blocks before
 			// the cut are dropped and whole blocks past it are carried
 			// over verbatim, so only the one straddling block per series
 			// is ever decoded (docs/PERSISTENCE.md §8.1).
@@ -1179,44 +1098,15 @@ func RetainDir(dir string, olderThan time.Time) (segmentsRemoved, pointsDropped 
 
 // trimBoundarySegment rewrites the one segment whose window contains
 // the retention cut, dropping every point before cut. The rewritten
-// segment keeps the original format version, window span and level. A
+// segment keeps the original window span and level. A
 // zero-valued meta (File == "") means no point survived and the
 // segment is simply removed; trimmed reports the points dropped.
 func trimBoundarySegment(dir string, sm SegmentMeta, cut int64, gen uint64) (meta SegmentMeta, trimmed int, err error) {
-	payload, version, err := loadSegmentPayload(dir, sm)
+	payload, err := loadSegmentPayload(dir, sm)
 	if err != nil {
 		return SegmentMeta{}, 0, err
 	}
-
-	if version == SegmentVersionGob {
-		list, err := decodeGobPayload(payload, sm)
-		if err != nil {
-			return SegmentMeta{}, 0, err
-		}
-		var kept []*Series
-		points := 0
-		for _, s := range list {
-			lo := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].Time.UnixNano() >= cut })
-			trimmed += lo
-			if lo == len(s.Points) {
-				continue
-			}
-			s.Points = s.Points[lo:]
-			kept = append(kept, s)
-			points += len(s.Points)
-		}
-		if len(kept) == 0 {
-			return SegmentMeta{}, trimmed, nil
-		}
-		out, seriesCount, err := encodeSegmentPayload(version, kept)
-		if err != nil {
-			return SegmentMeta{}, 0, fmt.Errorf("tsdb: segment %s: %w", sm.File, err)
-		}
-		meta, err = writeSegmentFile(dir, gen, version, sm.Shard, sm.WindowStart, sm.WindowEnd, seriesCount, points, sm.Level, out)
-		return meta, trimmed, err
-	}
-
-	list, err := decodeBlockPayload(payload, sm, version)
+	list, err := decodeBlockPayload(payload, sm)
 	if err != nil {
 		return SegmentMeta{}, 0, err
 	}
@@ -1252,6 +1142,6 @@ func trimBoundarySegment(dir string, sm SegmentMeta, cut int64, gen uint64) (met
 	if len(kept) == 0 {
 		return SegmentMeta{}, trimmed, nil
 	}
-	meta, err = writeSegmentFile(dir, gen, version, sm.Shard, sm.WindowStart, sm.WindowEnd, len(kept), points, sm.Level, blockenc.EncodePayload(kept, version == SegmentVersion))
+	meta, err = writeSegmentFile(dir, gen, sm.Shard, sm.WindowStart, sm.WindowEnd, len(kept), points, sm.Level, blockenc.EncodePayload(kept))
 	return meta, trimmed, err
 }

@@ -3,8 +3,8 @@
 // write latency/loss/throughput points tagged with vantage point, link and
 // probe kind; the analysis and visualization layers query ranges back out.
 //
-// The store is in-memory with binary snapshot/restore and safe for
-// concurrent use. Internally the series map is sharded by key hash with a
+// The store is in-memory, persists as segment directories
+// (SnapshotDir/RestoreDir) and is safe for concurrent use. Internally the series map is sharded by key hash with a
 // per-shard lock, and an inverted index (measurement and tag=value →
 // series keys) routes queries to only the matching series, so concurrent
 // probers and analyzers scale with cores instead of serializing on one
@@ -14,10 +14,8 @@
 package tsdb
 
 import (
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -42,11 +40,10 @@ type Series struct {
 	// (or since the whole store was last replaced). It is the unit the
 	// versioned read path is built on: QueryView captures it into each
 	// view and ViewStamp folds it into the cache-invalidation stamp
-	// (docs/SERVING.md §2). Unexported so the gob snapshot formats are
-	// unchanged.
+	// (docs/SERVING.md §2).
 	version uint64
 	// col is the lazily built columnar snapshot of Points at
-	// col.version; see view.go. Unexported for the same reason.
+	// col.version; see view.go.
 	col *colSeries
 	// lazy, when non-nil, marks a block-index stub of a lazily opened
 	// directory: Points is empty and reads go through the stub's block
@@ -104,7 +101,7 @@ type shard struct {
 type DB struct {
 	// global coordinates whole-store operations with per-point mutators:
 	// Write/WriteBatch/Retain share it (RLock) and proceed concurrently,
-	// serializing only on their target shards; Snapshot/Restore/
+	// serializing only on their target shards; SnapshotDir/RestoreDir/
 	// ExportLines take it exclusively, which both gives them a consistent
 	// point-in-time view and keeps the multi-shard lock acquisition free
 	// of reader/writer cycles (only one multi-shard holder can exist).
@@ -750,65 +747,11 @@ func (db *DB) lockAll(write bool) (unlock func()) {
 	}
 }
 
-// Snapshot serializes the whole store. The format — a gob []*Series in
-// canonical key order — is unchanged from the unsharded store, so old
-// snapshots restore and new ones load in old binaries.
-func (db *DB) Snapshot(w io.Writer) error {
-	unlock := db.lockAll(false)
-	defer unlock()
-	// The gob stream serializes raw Points; a lazily open store is
-	// materialized first so the snapshot cannot depend on open mode.
-	db.materializeAllLocked()
-	var keys []string
-	byKey := make(map[string]*Series)
-	for i := range db.shards {
-		for k, s := range db.shards[i].series {
-			keys = append(keys, k)
-			byKey[k] = s
-		}
-	}
-	sort.Strings(keys)
-	list := make([]*Series, 0, len(keys))
-	for _, k := range keys {
-		list = append(list, byKey[k])
-	}
-	return gob.NewEncoder(w).Encode(list)
-}
-
-// Restore replaces the store contents with a snapshot.
-func (db *DB) Restore(r io.Reader) error {
-	var list []*Series
-	if err := gob.NewDecoder(r).Decode(&list); err != nil {
-		return fmt.Errorf("tsdb: restore: %w", err)
-	}
-	unlock := db.lockAll(true)
-	defer unlock()
-	// Replacing every shard map under all shard locks retires any lazy
-	// mappings safely.
-	db.dropLazyLocked()
-	for i := range db.shards {
-		db.shards[i].series = make(map[string]*Series)
-	}
-	db.idx.reset()
-	for _, s := range list {
-		key := Key(s.Measurement, s.Tags)
-		db.shards[shardFor(key)].series[key] = s
-		db.idx.add(s.Measurement, s.Tags, key)
-	}
-	// The stream format carries no window/generation bookkeeping, so a
-	// later incremental SnapshotDir must start from a full snapshot.
-	db.resetPersistenceLocked()
-	// Restored series restart at version zero; bumping the epoch keeps
-	// ViewStamps from before the restore distinct from stamps after it.
-	db.epoch++
-	return nil
-}
-
 // Digest is the canonical whole-store fingerprint: FNV-64a over every
 // series in sorted key order, each point contributing its Unix-nanosecond
 // timestamp and bit-exact value. Two stores with equal digests hold the
-// same data in the same per-series order — the segmented and stream
-// persistence paths are proven equivalent against it (docs/PERSISTENCE.md
+// same data in the same per-series order — eager and lazy restores and
+// compaction are proven content-preserving against it (docs/PERSISTENCE.md
 // §7), and the campaign determinism tests rely on the same construction.
 func (db *DB) Digest() uint64 {
 	unlock := db.lockAll(false)
@@ -832,7 +775,7 @@ func (db *DB) Digest() uint64 {
 			// without permanently materializing anything.
 			l := s.lazy
 			for i := range l.blocks {
-				d := l.decodeRef(&l.blocks[i])
+				d := l.store.decode(&l.blocks[i])
 				for j := range d.times {
 					fmt.Fprintf(h, "%d %d\n", d.times[j], math.Float64bits(d.values[j]))
 				}

@@ -1,8 +1,9 @@
 package tsdb
 
 import (
-	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -114,12 +115,12 @@ func TestSnapshotRestore(t *testing.T) {
 		db.Write("tslp", map[string]string{"vp": "a"}, t0.Add(time.Duration(i)*time.Second), float64(i))
 		db.Write("loss", map[string]string{"vp": "b"}, t0.Add(time.Duration(i)*time.Second), float64(-i))
 	}
-	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
+	dir := t.TempDir()
+	if _, err := db.SnapshotDir(dir, DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	db2 := Open()
-	if err := db2.Restore(&buf); err != nil {
+	if err := db2.RestoreDir(dir, DirOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if db2.PointCount() != db.PointCount() || db2.SeriesCount() != db.SeriesCount() {
@@ -134,8 +135,13 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	db := Open()
-	if err := db.Restore(bytes.NewReader([]byte("not a snapshot"))); err == nil {
+	// A plain file is not a segment directory: RestoreDir must refuse
+	// it, not try to decode it.
+	path := filepath.Join(t.TempDir(), "snap")
+	if err := os.WriteFile(path, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Open().RestoreDir(path, DirOptions{}); err == nil {
 		t.Fatal("expected error restoring garbage")
 	}
 }

@@ -247,7 +247,7 @@ func appendLazyView(out []SeriesView, s *Series, fromNs, toNs int64, vb *ValueBo
 	slices := make([]slice, 0, len(refs))
 	total := 0
 	for _, r := range refs {
-		d := l.decodeRef(r)
+		d := l.store.decode(r)
 		lo := sort.Search(len(d.times), func(i int) bool { return d.times[i] >= fromNs })
 		hi := sort.Search(len(d.times), func(i int) bool { return d.times[i] >= toNs })
 		if lo >= hi {
