@@ -1,7 +1,7 @@
 package main
 
 // The fleet section is self-checking — digest equality at every hop,
-// the 5x delta-ratio floor, zero 5xx through the front — so invoking
+// the 5x delta-ratio floor, full 200 bodies through the front — so invoking
 // it IS the test (the same pattern CI's bench-smoke job uses for the
 // self-checking benchmarks). The bench-gate plumbing is tested against
 // temp files: a passing baseline, a regressed metric, and a metric
@@ -25,12 +25,15 @@ func TestFleetSectionSelfChecks(t *testing.T) {
 	if !ok || ratio < 5 {
 		t.Fatalf("delta_bytes_ratio = %v (recorded %v), want >= 5", ratio, ok)
 	}
+	if eff, ok := benchRatios["front_efficiency"]; !ok || eff <= 0 {
+		t.Fatalf("front_efficiency = %v (recorded %v), want > 0", eff, ok)
+	}
 }
 
 func TestFinishBenchGate(t *testing.T) {
 	fill := func() {
 		for _, k := range []string{"compression_ratio", "block_skip_ratio", "cold_open_speedup",
-			"aggregate_pushdown_speedup", "detect_update_speedup", "delta_bytes_ratio"} {
+			"aggregate_pushdown_speedup", "detect_update_speedup", "delta_bytes_ratio", "front_efficiency"} {
 			benchRatios[k] = 10
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -27,6 +28,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -270,7 +272,7 @@ type benchReport struct {
 // against a committed baseline, failing when any baseline metric is
 // missing from this run or regressed more than benchRegressionSlack.
 func finishBench(jsonOut, baseline string) error {
-	for _, k := range []string{"compression_ratio", "block_skip_ratio", "cold_open_speedup", "aggregate_pushdown_speedup", "detect_update_speedup", "delta_bytes_ratio"} {
+	for _, k := range []string{"compression_ratio", "block_skip_ratio", "cold_open_speedup", "aggregate_pushdown_speedup", "detect_update_speedup", "delta_bytes_ratio", "front_efficiency"} {
 		if _, ok := benchRatios[k]; !ok {
 			return fmt.Errorf("bench gate needs the storage, readpath, aggregate, detect and fleet sections (missing %s); run with -only \"\" or -only storage,readpath,aggregate,detect,fleet", k)
 		}
@@ -1155,8 +1157,9 @@ func runDetectSection() error {
 // docs/SERVING.md §9): delta shipping's transfer saving on an
 // append-shaped generation against a whole-segment control, relay
 // convergence through a middle tier, and the scatter front's read
-// throughput as replicas are added. The delta bytes ratio feeds the
-// bench gate as delta_bytes_ratio.
+// rate against reading the replica directly. The delta bytes ratio and
+// the front's efficiency feed the bench gate as delta_bytes_ratio and
+// front_efficiency.
 func runFleetSection() error {
 	ctx := context.Background()
 
@@ -1290,65 +1293,101 @@ func runFleetSection() error {
 	fmt.Printf("relay chain leader -> follower -> leaf converged at generation %d, digest %016x\n",
 		leaf.Status().AppliedGeneration, want)
 
-	// Scatter front throughput vs replica count: the same store behind
-	// 1, 2 and 4 replicas, a fixed request mix through the front.
-	const workers, reqs = 8, 240
+	// Scatter front efficiency: the same warm cached raw query read
+	// straight from one replica and through a front over it, with the
+	// same client count, every body read to EOF over keep-alive.
 	q := fmt.Sprintf("/api/v1/query?m=tslp&from=%s&to=%s",
 		netsim.Epoch.Format(time.RFC3339), netsim.Epoch.Add(13*time.Hour).Format(time.RFC3339))
-	for _, n := range []int{1, 2, 4} {
-		urls := make([]string, n)
-		var closers []func()
-		for i := range urls {
-			srv := api.New(ldb)
-			rs := httptest.NewServer(srv)
-			urls[i] = rs.URL
-			closers = append(closers, rs.Close, srv.Close)
-		}
-		front, err := api.NewFront(urls, api.FrontOptions{HedgeAfter: time.Second})
-		if err != nil {
-			return err
-		}
-		front.PollNow(ctx)
-		fs := httptest.NewServer(front)
-		if _, err := fs.Client().Get(fs.URL + q); err != nil { // warm replica caches
-			return err
-		}
-		t0 := time.Now()
-		var wg sync.WaitGroup
-		errCh := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < reqs/workers; i++ {
-					resp, err := fs.Client().Get(fs.URL + q)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					resp.Body.Close()
-					if resp.StatusCode != 200 {
-						errCh <- fmt.Errorf("front answered %d", resp.StatusCode)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		wall := time.Since(t0)
-		fs.Close()
-		for _, c := range closers {
-			c()
-		}
-		select {
-		case err := <-errCh:
-			return fmt.Errorf("fleet: front with %d replicas: %w", n, err)
-		default:
-		}
-		fmt.Printf("front qps: %d replica(s) %8.0f req/s (%d requests, %d workers)\n",
-			n, float64(reqs)/wall.Seconds(), reqs, workers)
+	srv := api.New(ldb)
+	defer srv.Close()
+	rs := httptest.NewServer(srv)
+	defer rs.Close()
+	front, err := api.NewFront([]string{rs.URL}, api.FrontOptions{HedgeAfter: time.Second})
+	if err != nil {
+		return err
 	}
+	front.PollNow(ctx)
+	fs := httptest.NewServer(front)
+	defer fs.Close()
+	directRPS, directBody, err := readRate(rs.URL + q)
+	if err != nil {
+		return fmt.Errorf("fleet: direct reads: %w", err)
+	}
+	frontRPS, frontBody, err := readRate(fs.URL + q)
+	if err != nil {
+		return fmt.Errorf("fleet: front reads: %w", err)
+	}
+	if frontBody != directBody {
+		return fmt.Errorf("fleet: front body is %d bytes, direct %d", frontBody, directBody)
+	}
+	eff := frontRPS / directRPS
+	benchRatios["front_efficiency"] = eff
+	fmt.Printf("front efficiency: front %.0f req/s / direct %.0f req/s = %.2f (%d KiB body, %d requests per side, %d clients)\n",
+		frontRPS, directRPS, eff, directBody/1024, frontRequests, frontClients)
 	return nil
+}
+
+// frontClients and frontRequests size the front_efficiency measurement:
+// the concurrent keep-alive clients on each side, and the requests each
+// side serves.
+const frontClients, frontRequests = 8, 2000
+
+// readRate warms url's cache entry with one read, then reads it
+// frontRequests times from frontClients concurrent keep-alive clients,
+// draining every body. It checks each read answers 200 with the
+// warm-up's body length, and returns requests per wall-clock second and
+// that length.
+func readRate(url string) (rps float64, body int64, err error) {
+	tr := &http.Transport{MaxIdleConnsPerHost: frontClients}
+	defer tr.CloseIdleConnections()
+	hc := &http.Client{Transport: tr, Timeout: 30 * time.Second}
+	get := func() (int64, error) {
+		resp, err := hc.Get(url)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		body, err := io.Copy(io.Discard, resp.Body)
+		if err != nil {
+			return 0, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return 0, fmt.Errorf("answered %d", resp.StatusCode)
+		}
+		return body, nil
+	}
+	want, err := get()
+	if err != nil {
+		return 0, 0, err
+	}
+	var next atomic.Int64
+	errCh := make(chan error, frontClients)
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	for c := 0; c < frontClients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= frontRequests {
+				got, err := get()
+				if err == nil && got != want {
+					err = fmt.Errorf("body of %d bytes, want %d", got, want)
+				}
+				if err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	wall := time.Since(t0)
+	select {
+	case err := <-errCh:
+		return 0, 0, err
+	default:
+	}
+	return frontRequests / wall.Seconds(), want, nil
 }
 
 func section(title, paper string) {

@@ -207,7 +207,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request, q url.V
 		return
 	}
 	w.Header().Set("ETag", etag)
-	writeJSONBody(w, v.([]byte))
+	writeBody(w, "application/json", v.([]byte))
 }
 
 // aggSeriesJSON projects one tsdb.AggSeries onto the wire shape,

@@ -220,8 +220,9 @@ func (s *Server) PurgeCache() { s.cache.Purge() }
 // coalesced flight).
 func (s *Server) CongestionComputes() uint64 { return s.computes.Load() }
 
-// bufPool recycles encode buffers across requests so steady-state
-// serving does not grow a fresh buffer per response.
+// bufPool recycles encode buffers, and the front's replica body
+// buffers, across requests so steady-state serving does not grow a
+// fresh buffer per response.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeJSON encodes v into a pooled buffer first and only then touches
@@ -253,9 +254,14 @@ func encodeBody(v interface{}) ([]byte, error) {
 	return out, nil
 }
 
-// writeJSONBody writes an already-encoded JSON body.
-func writeJSONBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+// writeBody writes an already-encoded cached body with a
+// Content-Length taken from the slice. net/http sizes only bodies under
+// its 2 KiB buffer itself and sends anything larger chunked; the length
+// lets a client — the scatter front above all — read the body into one
+// pre-sized buffer (docs/SERVING.md §7, §9).
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
 }
 
@@ -465,7 +471,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", etag)
-	writeJSONBody(w, v.([]byte))
+	writeBody(w, "application/json", v.([]byte))
 }
 
 // CongestionResponse reports the autocorrelation analysis over stored TSLP
@@ -544,7 +550,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("ETag", etag)
 	}
-	writeJSONBody(w, v.([]byte))
+	writeBody(w, "application/json", v.([]byte))
 }
 
 // computeCongestion produces the response body for one (link, vp, from,

@@ -3,13 +3,16 @@ package api_test
 // Tests for the HTTP contract of docs/SERVING.md §7-§8: the structured
 // error envelope with stable codes, strong ETags with If-None-Match
 // (including that a 304 runs no detector), bounded query responses
-// with pagination metadata, and the /api/v1/health readiness endpoint.
+// with pagination metadata, the /api/v1/health readiness endpoint, and
+// a Content-Length on every cached body.
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -374,5 +377,83 @@ func TestHealthFollower(t *testing.T) {
 	}
 	if st.Replication == nil || len(st.Replication.Peers) != 1 || st.Replication.Peers[0].Generation != 3 {
 		t.Fatalf("stats replication %+v", st.Replication)
+	}
+}
+
+// sizedGet fetches url over the wire with an optional If-None-Match and
+// returns the response with its body read to EOF.
+func sizedGet(t *testing.T, url, inm string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// TestCachedBodiesCarryContentLength: every cached 200 — query,
+// aggregate, congestion fresh and stale-while-revalidate, dashboard
+// page and index — carries a Content-Length equal to its body, also
+// above net/http's 2 KiB auto-sizing threshold, and the conditional 304
+// still carries no body (docs/SERVING.md §7).
+func TestCachedBodiesCarryContentLength(t *testing.T) {
+	db := tsdb.Open()
+	srv := api.New(db, api.WithWorkers(2), api.WithStaleWhileRevalidate(time.Hour))
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	seedCongestion(db, 50)
+
+	from := netsim.Epoch.Format(time.RFC3339)
+	to := netsim.Day(50).Format(time.RFC3339)
+	congestion := fmt.Sprintf("%s/api/v1/congestion?link=L&vp=v&from=%s&days=50", ts.URL, from)
+	check := func(name, url string, large bool) string {
+		t.Helper()
+		resp, body := sizedGet(t, url, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) || resp.ContentLength != int64(len(body)) {
+			t.Fatalf("%s: Content-Length %q (parsed %d), body %d bytes", name, got, resp.ContentLength, len(body))
+		}
+		if large && len(body) <= 2048 {
+			t.Fatalf("%s: body %d bytes does not exercise the chunking threshold", name, len(body))
+		}
+		etag := resp.Header.Get("ETag")
+		resp, body = sizedGet(t, url, etag)
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Fatalf("%s: conditional GET status %d with %d body bytes, want an empty 304", name, resp.StatusCode, len(body))
+		}
+		return etag
+	}
+	check("query", fmt.Sprintf("%s/api/v1/query?m=tslp&from=%s&to=%s", ts.URL, from, to), true)
+	check("aggregate", fmt.Sprintf("%s/api/v1/query?m=tslp&agg=min,max&step=1h&from=%s&to=%s", ts.URL, from, to), true)
+	etag := check("congestion", congestion, true)
+	check("dashboard page", fmt.Sprintf("%s/dashboard?link=L&vp=v&from=%s&days=1", ts.URL, from), true)
+	check("dashboard index", ts.URL+"/dashboard", false)
+
+	// A stamp-change miss under stale-while-revalidate answers the
+	// superseded body, still sized.
+	db.Write("tslp", map[string]string{"vp": "v", "link": "L", "side": "far"},
+		netsim.Day(49).Add(23*time.Hour+50*time.Minute), 21)
+	resp, body := sizedGet(t, congestion, "")
+	if resp.Header.Get("X-Stale") != "true" || resp.Header.Get("ETag") != etag {
+		t.Fatalf("stale serve: X-Stale %q, ETag %q (want the predecessor's %q)",
+			resp.Header.Get("X-Stale"), resp.Header.Get("ETag"), etag)
+	}
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) {
+		t.Fatalf("stale serve: status %d, Content-Length %d, body %d bytes", resp.StatusCode, resp.ContentLength, len(body))
 	}
 }

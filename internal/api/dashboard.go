@@ -48,8 +48,7 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("ETag", etag)
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(v.([]byte))
+		writeBody(w, "text/html; charset=utf-8", v.([]byte))
 		return
 	}
 	vp := q.Get("vp")
@@ -80,8 +79,7 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write(v.([]byte))
+	writeBody(w, "text/html; charset=utf-8", v.([]byte))
 }
 
 // renderLinkPage builds one link's dashboard HTML: far/near series from

@@ -12,6 +12,7 @@ package api
 // matter which tier failed.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -41,6 +42,14 @@ const (
 	// latencyWindow is how many recent primary-fetch latencies the
 	// adaptive hedge timer estimates its p90 over.
 	latencyWindow = 64
+	// idleConnsPerReplica is how many idle keep-alive connections the
+	// default client keeps to each replica. http.DefaultTransport keeps
+	// 2, so every concurrent read beyond the second would dial a fresh
+	// connection and drop it afterwards.
+	idleConnsPerReplica = 64
+	// maxPooledBody is the largest body buffer the front returns to the
+	// pool: one MaxQueryLimit page must not pin its size in memory.
+	maxPooledBody = 4 << 20
 )
 
 // ServedByHeader and ReplicaLagHeader carry routing provenance on
@@ -66,7 +75,8 @@ type FrontOptions struct {
 	// means adaptive — the p90 of recent fetch latencies.
 	HedgeAfter time.Duration
 	// Client is the HTTP client for replica traffic (nil means a
-	// client with a 30-second overall timeout).
+	// client with a 30-second overall timeout that keeps
+	// idleConnsPerReplica idle connections to each replica).
 	Client *http.Client
 	// Logf, when set, receives routing events worth an operator's
 	// attention: replicas turning unhealthy or healthy, all-stale
@@ -124,7 +134,9 @@ func NewFront(replicas []string, opts FrontOptions) (*Front, error) {
 	}
 	client := opts.Client
 	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = idleConnsPerReplica
+		client = &http.Client{Timeout: 30 * time.Second, Transport: tr}
 	}
 	every := opts.HealthEvery
 	if every <= 0 {
@@ -315,14 +327,28 @@ func (f *Front) pick() (cands []*replicaSnapshot, stale bool) {
 // upstream is one buffered replica response: the front only ever
 // serves fully read bodies, so a replica dying mid-body is a retryable
 // transport error here, never truncated bytes on the client's wire.
+// body is a pooled buffer: whoever ends up owning the upstream returns
+// it with putBodyBuf, and a hedge loser nobody reads is left to the GC.
 type upstream struct {
 	snap   *replicaSnapshot
 	status int
 	header http.Header
-	body   []byte
+	body   *bytes.Buffer
 }
 
-// fetch performs one buffered GET against a replica.
+// putBodyBuf returns a body buffer to the pool unless it grew past
+// maxPooledBody. Neither the buffer nor any slice of it may be used
+// afterwards.
+func putBodyBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bufPool.Put(buf)
+	}
+}
+
+// fetch performs one buffered GET against a replica. The body is read
+// into a pooled buffer, pre-sized from Content-Length when the replica
+// sends one (every cached body does), so a warm front reads without
+// growing or allocating a buffer.
 func (f *Front) fetch(ctx context.Context, snap *replicaSnapshot, r *http.Request) (*upstream, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, snap.rep.url+r.URL.RequestURI(), nil)
 	if err != nil {
@@ -338,12 +364,19 @@ func (f *Front) fetch(ctx context.Context, snap *replicaSnapshot, r *http.Reques
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if resp.ContentLength > 0 {
+		// The extra MinRead keeps ReadFrom from growing the buffer for
+		// the final read that only sees EOF.
+		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		// Mid-body death: Content-Length promised more than arrived.
+		putBodyBuf(buf)
 		return nil, fmt.Errorf("reading body from %s: %w", snap.rep.shown, err)
 	}
-	return &upstream{snap: snap, status: resp.StatusCode, header: resp.Header.Clone(), body: body}, nil
+	return &upstream{snap: snap, status: resp.StatusCode, header: resp.Header, body: buf}, nil
 }
 
 // hedgeDelay returns the current hedge timer: the fixed FrontOptions
@@ -438,6 +471,9 @@ func (f *Front) route(r *http.Request, cands []*replicaSnapshot) *upstream {
 					f.logf("front: replica %s answered %d", o.res.snap.rep.shown, o.res.status)
 				}
 			}
+			if o.err == nil {
+				putBodyBuf(o.res.body)
+			}
 			// One retry on a replica that has not seen this request yet
 			// (docs/SERVING.md §9).
 			if !retried && launch("retry") {
@@ -474,6 +510,7 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "every routed replica failed")
 		return
 	}
+	defer putBodyBuf(res.body)
 	res.snap.rep.routed.Add(1)
 	if r.URL.Path == "/api/v1/stats" && res.status == http.StatusOK {
 		f.serveStats(w, res)
@@ -493,7 +530,7 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
+	_, _ = w.Write(res.body.Bytes())
 }
 
 // FrontReplicaStats is one replica's row in the stats front block.
@@ -562,7 +599,7 @@ func (f *Front) frontStats() FrontStats {
 // block injected, so one scrape of the front covers both tiers.
 func (f *Front) serveStats(w http.ResponseWriter, res *upstream) {
 	var doc map[string]interface{}
-	if err := json.Unmarshal(res.body, &doc); err != nil {
+	if err := json.Unmarshal(res.body.Bytes(), &doc); err != nil {
 		writeError(w, http.StatusInternalServerError, "replica stats body: %v", err)
 		return
 	}

@@ -9,12 +9,17 @@ package api
 // so CI's fleet-smoke job can select the suite.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -498,5 +503,201 @@ func TestFrontAgainstRealServers(t *testing.T) {
 	var env ErrorEnvelope
 	if err := json.Unmarshal(bad.Body.Bytes(), &env); err != nil || env.Error.Code != CodeBadRequest {
 		t.Fatalf("envelope: %s", bad.Body)
+	}
+}
+
+// TestFrontKeepsReplicaConnectionsAlive: the default client keeps
+// enough idle connections per replica that 8 concurrent readers reuse
+// them instead of dialing. The reads come in bursts of 8; with
+// http.DefaultTransport's 2 idle connections per host, every burst
+// after the first dials 6 fresh connections.
+func TestFrontKeepsReplicaConnectionsAlive(t *testing.T) {
+	// The delay keeps a burst's reads in flight at once.
+	fr := &fakeReplica{name: "r", generation: 5, delay: time.Millisecond}
+	fr.mode.Store("")
+	var dials atomic.Int64
+	fr.ts = httptest.NewUnstartedServer(http.HandlerFunc(fr.serve))
+	fr.ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	fr.ts.Start()
+	t.Cleanup(fr.ts.Close)
+	f := newTestFront(t, FrontOptions{HedgeAfter: time.Second}, fr)
+
+	const clients, reads = 8, 400
+	var failed atomic.Int64
+	for burst := 0; burst < reads/clients; burst++ {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				f.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/query?m=x", nil))
+				if rec.Code != http.StatusOK {
+					failed.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if failed.Load() != 0 {
+		t.Fatalf("%d of %d reads failed", failed.Load(), reads)
+	}
+	if n := dials.Load(); n > 2*clients {
+		t.Fatalf("%d reads from %d clients opened %d replica connections, want at most %d", reads, clients, n, 2*clients)
+	}
+}
+
+// bodyFor is the deterministic body a pooled-buffer test replica
+// serves for one path: every byte depends on the path and its offset,
+// so a buffer leaking into another request cannot go unnoticed.
+func bodyFor(path string, n int) []byte {
+	b := make([]byte, n)
+	seed := byte(len(path))
+	for _, c := range []byte(path) {
+		seed = seed*31 + c
+	}
+	for i := range b {
+		b[i] = 'a' + (seed+byte(i*7)+byte(i>>8))%26
+	}
+	return b
+}
+
+// TestFrontPooledBodiesNeverCrossRequests: two replicas serve a 1 KiB
+// body, a 300 KiB body with Content-Length and a chunked body without
+// one; the hedge timer fires on nearly every read, so losers are
+// abandoned mid-flight, and one replica dies mid-body on every third
+// read. Under 16 concurrent readers every front response must still be
+// byte-identical to its path's body: a pooled buffer never carries
+// bytes from one request into another.
+func TestFrontPooledBodiesNeverCrossRequests(t *testing.T) {
+	bodies := map[string][]byte{
+		"/small":   bodyFor("/small", 1<<10),
+		"/large":   bodyFor("/large", 300<<10),
+		"/chunked": bodyFor("/chunked", 200<<10),
+	}
+	paths := []string{"/small", "/large", "/chunked"}
+	var deaths atomic.Int64
+	newReplica := func(dieEvery int64) *httptest.Server {
+		var n atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/api/v1/health" {
+				_ = json.NewEncoder(w).Encode(HealthResponse{Status: "ok", Generation: 5})
+				return
+			}
+			body := bodies[r.URL.Path]
+			die := dieEvery > 0 && n.Add(1)%dieEvery == 0
+			if die {
+				deaths.Add(1)
+			}
+			if r.URL.Path == "/chunked" {
+				// Flushing before the end forces chunked framing.
+				half := len(body) / 2
+				_, _ = w.Write(body[:half])
+				w.(http.Flusher).Flush()
+				if die {
+					panic(http.ErrAbortHandler)
+				}
+				_, _ = w.Write(body[half:])
+				return
+			}
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			if die {
+				_, _ = w.Write(body[:len(body)/2])
+				panic(http.ErrAbortHandler)
+			}
+			_, _ = w.Write(body)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	dying, steady := newReplica(3), newReplica(0)
+	f, err := NewFront([]string{dying.URL, steady.URL}, FrontOptions{HedgeAfter: 50 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.PollNow(context.Background())
+
+	const readers, reads = 16, 24
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				path := paths[(g+i)%len(paths)]
+				rec := httptest.NewRecorder()
+				f.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s: status %d", path, rec.Code)
+					return
+				}
+				if !bytes.Equal(rec.Body.Bytes(), bodies[path]) {
+					t.Errorf("%s: front body (%d bytes) differs from the replica's (%d bytes)",
+						path, rec.Body.Len(), len(bodies[path]))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if hedged, _ := countStats(f); hedged == 0 || deaths.Load() == 0 {
+		t.Fatalf("hedged %d, died %d: the test did not exercise abandoned or failed reads", hedged, deaths.Load())
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps headers and drops the
+// body, so the allocation gate counts the front's bytes, not a
+// recorder's.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestFrontBodyPathAllocationGate: a warm front relaying a 1 MiB body
+// with Content-Length allocates at most a quarter of the body per read.
+// Reading through a growing buffer allocates several times the body.
+func TestFrontBodyPathAllocationGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a random quarter of sync.Pool puts")
+	}
+	body := bodyFor("/big", 1<<20)
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/health" {
+			_ = json.NewEncoder(w).Encode(HealthResponse{Status: "ok", Generation: 5})
+			return
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		_, _ = w.Write(body)
+	}))
+	defer rep.Close()
+	f, err := NewFront([]string{rep.URL}, FrontOptions{HedgeAfter: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.PollNow(context.Background())
+	read := func() {
+		w := &discardWriter{h: http.Header{}}
+		f.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/big", nil))
+	}
+	for i := 0; i < 20; i++ {
+		read()
+	}
+
+	const reads = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perRead := float64(after.TotalAlloc-before.TotalAlloc) / reads
+	t.Logf("%.0f bytes allocated per read of a %d-byte body (%.3f x body)", perRead, len(body), perRead/float64(len(body)))
+	if limit := 0.25 * float64(len(body)); perRead > limit {
+		t.Fatalf("%.0f bytes allocated per read, want at most %.0f", perRead, limit)
 	}
 }
