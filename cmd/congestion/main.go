@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -28,12 +30,24 @@ import (
 )
 
 func main() {
-	inPath := flag.String("in", "", "tsdb segment directory (required)")
-	link := flag.String("link", "", "link id (default: all)")
-	vp := flag.String("vp", "", "vantage point filter")
-	days := flag.Int("days", 1, "analysis window in days from the epoch")
-	autocorr := flag.Bool("autocorr", false, "also run the autocorrelation method (needs >= 50 days of data; use -days 50)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "congestion:", err)
+		os.Exit(1)
+	}
+}
+
+// run is congestion with its arguments and output stream made
+// explicit, so tests can drive it in-process.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("congestion", flag.ContinueOnError)
+	inPath := flags.String("in", "", "tsdb segment directory (required)")
+	link := flags.String("link", "", "link id (default: all)")
+	vp := flags.String("vp", "", "vantage point filter")
+	days := flags.Int("days", 1, "analysis window in days from the epoch")
+	autocorr := flags.Bool("autocorr", false, "also run the autocorrelation method (needs >= 50 days of data; use -days 50)")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	// An interrupt stops the per-link analysis loop at the next link
 	// boundary so partial output stays well-formed.
@@ -41,23 +55,23 @@ func main() {
 	defer stopSignals()
 
 	if *inPath == "" {
-		fatal(fmt.Errorf("-in is required"))
+		return fmt.Errorf("-in is required")
 	}
 	if fi, err := os.Stat(*inPath); err != nil {
-		fatal(err)
+		return err
 	} else if !fi.IsDir() {
-		fatal(fmt.Errorf("-in %s is not a segment directory (write one with tslpd -datadir)", *inPath))
+		return fmt.Errorf("-in %s is not a segment directory (write one with tslpd -datadir)", *inPath)
 	}
 	db := tsdb.Open()
 	if err := db.RestoreDir(*inPath, tsdb.DirOptions{}); err != nil {
-		fatal(err)
+		return err
 	}
 
 	links := db.TagValues(tslp.MeasLatency, "link")
 	if len(links) == 0 {
-		fatal(fmt.Errorf("snapshot holds no TSLP data"))
+		return fmt.Errorf("snapshot holds no TSLP data")
 	}
-	fmt.Printf("congestion: %d links with TSLP data\n", len(links))
+	fmt.Fprintf(stdout, "congestion: %d links with TSLP data\n", len(links))
 
 	start := netsim.Epoch
 	end := start.AddDate(0, 0, *days)
@@ -84,12 +98,12 @@ func main() {
 			continue
 		}
 		res := analysis.DetectLevelShifts(far, analysis.DefaultLevelShift())
-		fmt.Printf("\nlink %s  coverage=%.0f%%  minRTT=%.1fms\n", id, 100*far.Coverage(), far.Min())
+		fmt.Fprintf(stdout, "\nlink %s  coverage=%.0f%%  minRTT=%.1fms\n", id, 100*far.Coverage(), far.Min())
 		if len(res.Episodes) == 0 {
-			fmt.Println("  no level-shift episodes")
+			fmt.Fprintln(stdout, "  no level-shift episodes")
 		}
 		for _, ep := range res.Episodes {
-			fmt.Printf("  elevated %s .. %s (%s)\n",
+			fmt.Fprintf(stdout, "  elevated %s .. %s (%s)\n",
 				ep.Start.Format("2006-01-02 15:04"), ep.End.Format("15:04"), ep.Duration())
 		}
 
@@ -115,7 +129,7 @@ func main() {
 			}
 			acRes, err := analysis.Autocorrelation(acFar, acNear, cfg)
 			if err != nil {
-				fmt.Printf("  autocorrelation: %v\n", err)
+				fmt.Fprintf(stdout, "  autocorrelation: %v\n", err)
 				continue
 			}
 			congested := 0
@@ -124,16 +138,12 @@ func main() {
 					congested++
 				}
 			}
-			fmt.Printf("  autocorrelation: recurring=%v congestedDays=%d/%d", acRes.Recurring, congested, len(acRes.Days))
+			fmt.Fprintf(stdout, "  autocorrelation: recurring=%v congestedDays=%d/%d", acRes.Recurring, congested, len(acRes.Days))
 			if acRes.RejectReason != "" {
-				fmt.Printf(" (rejected: %s)", acRes.RejectReason)
+				fmt.Fprintf(stdout, " (rejected: %s)", acRes.RejectReason)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "congestion:", err)
-	os.Exit(1)
+	return nil
 }

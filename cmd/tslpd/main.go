@@ -14,10 +14,12 @@
 //
 // With -datadir the store persists as a segment directory (one file per
 // shard and time window; see docs/PERSISTENCE.md): tslpd restores from
-// it on startup if it holds a snapshot, takes an incremental snapshot
-// every -snapshot-every of virtual time — rewriting only segments whose
-// (shard, window) changed — and, with -retain > 0, first ages out data
-// older than the retention horizon. Because the simulation replays
+// it on startup if it holds a snapshot (fully decoded: the run writes
+// to every series and each snapshot walks all points), takes an
+// incremental snapshot every -snapshot-every of virtual time —
+// rewriting only segments whose (shard, window) changed — and, with
+// -retain > 0, first ages out data older than the retention horizon.
+// Because the simulation replays
 // deterministically from the epoch, a restart with the same -seed sets
 // a write floor at the restored maximum timestamp: the replayed prefix
 // is dropped instead of inserted twice, so a resumed run's store equals
@@ -36,8 +38,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -55,42 +60,53 @@ import (
 )
 
 func main() {
-	seed := flag.Uint64("seed", 1, "determinism seed")
-	hours := flag.Int("hours", 26, "virtual hours to run")
-	vpsFlag := flag.String("vps", "comcast-nyc,verizon-nyc", "comma-separated <provider>-<metro> vantage points")
-	lineOut := flag.String("lineout", "", "also export the data as InfluxDB line protocol (the public-release format)")
-	reactive := flag.Bool("reactive", false, "enable reactive probing-set maintenance")
-	datadir := flag.String("datadir", "", "segment directory for periodic incremental snapshots (docs/PERSISTENCE.md)")
-	snapEvery := flag.Duration("snapshot-every", 6*time.Hour, "virtual-time cadence of -datadir snapshots")
-	retain := flag.Duration("retain", 0, "drop data older than this horizon at each snapshot (0 keeps everything)")
-	compactAfter := flag.Duration("compact-after", 0, "merge segment windows colder than this horizon after each snapshot (0 disables compaction)")
-	compactWindows := flag.Int("compact-windows", tsdb.DefaultCompactWindows, "max base windows per compacted segment")
-	replicaAddr := flag.String("replica-addr", "", "export -datadir to replication followers on this address (docs/REPLICATION.md)")
-	lazy := flag.Bool("lazy", false, "resume -datadir in block-pruned lazy mode: segments are mapped, not decoded, and a series is only materialized when new points land on it (docs/PERSISTENCE.md §9)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "tslpd:", err)
+		os.Exit(1)
+	}
+}
+
+// run is tslpd with its arguments and output stream made explicit, so
+// tests can drive whole runs in-process.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("tslpd", flag.ContinueOnError)
+	seed := flags.Uint64("seed", 1, "determinism seed")
+	hours := flags.Int("hours", 26, "virtual hours to run")
+	vpsFlag := flags.String("vps", "comcast-nyc,verizon-nyc", "comma-separated <provider>-<metro> vantage points")
+	lineOut := flags.String("lineout", "", "also export the data as InfluxDB line protocol (the public-release format)")
+	reactive := flags.Bool("reactive", false, "enable reactive probing-set maintenance")
+	datadir := flags.String("datadir", "", "segment directory for periodic incremental snapshots (docs/PERSISTENCE.md)")
+	snapEvery := flags.Duration("snapshot-every", 6*time.Hour, "virtual-time cadence of -datadir snapshots")
+	retain := flags.Duration("retain", 0, "drop data older than this horizon at each snapshot (0 keeps everything)")
+	compactAfter := flags.Duration("compact-after", 0, "merge segment windows colder than this horizon after each snapshot (0 disables compaction)")
+	compactWindows := flags.Int("compact-windows", tsdb.DefaultCompactWindows, "max base windows per compacted segment")
+	replicaAddr := flags.String("replica-addr", "", "export -datadir to replication followers on this address (docs/REPLICATION.md)")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	if *replicaAddr != "" && *datadir == "" {
-		fatal(fmt.Errorf("-replica-addr requires -datadir"))
+		return fmt.Errorf("-replica-addr requires -datadir")
 	}
 
 	in, _, err := scenario.Build(*seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	db := tsdb.Open()
 	if *datadir != "" {
 		if _, err := os.Stat(filepath.Join(*datadir, tsdb.ManifestName)); err == nil {
-			if err := db.RestoreDir(*datadir, tsdb.DirOptions{Lazy: *lazy}); err != nil {
-				fatal(err)
+			if err := db.RestoreDir(*datadir, tsdb.DirOptions{}); err != nil {
+				return err
 			}
-			fmt.Printf("tslpd: resumed %d series (%d points) from %s\n", db.SeriesCount(), db.PointCount(), *datadir)
+			fmt.Fprintf(stdout, "tslpd: resumed %d series (%d points) from %s\n", db.SeriesCount(), db.PointCount(), *datadir)
 			// The simulation below re-runs deterministically from the
 			// epoch, regenerating every point the restored snapshot
 			// already holds; the write floor drops that replayed prefix
 			// so a restart cannot double-insert it.
 			if floor := db.MaxTime(); !floor.IsZero() {
 				db.SetWriteFloor(floor)
-				fmt.Printf("tslpd: replaying virtual time up to %s (points at or before it are already persisted)\n",
+				fmt.Fprintf(stdout, "tslpd: replaying virtual time up to %s (points at or before it are already persisted)\n",
 					floor.UTC().Format(time.RFC3339))
 			}
 		}
@@ -100,12 +116,13 @@ func main() {
 	// 503 before the first snapshot, then each generation as it lands —
 	// so it can start before any data exists.
 	if *replicaAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*replicaAddr, replication.NewExporter(*datadir)); err != nil {
-				fatal(fmt.Errorf("replica listener: %w", err))
-			}
-		}()
-		fmt.Printf("tslpd: exporting %s to followers on %s\n", *datadir, *replicaAddr)
+		ln, err := net.Listen("tcp", *replicaAddr)
+		if err != nil {
+			return fmt.Errorf("replica listener: %w", err)
+		}
+		defer ln.Close() // stops the Serve goroutine
+		go http.Serve(ln, replication.NewExporter(*datadir))
+		fmt.Fprintf(stdout, "tslpd: exporting %s to followers on %s\n", *datadir, *replicaAddr)
 	}
 
 	sys := core.NewSystem(in, db, netsim.Epoch)
@@ -120,25 +137,33 @@ func main() {
 		spec = strings.TrimSpace(spec)
 		i := strings.LastIndex(spec, "-")
 		if i <= 0 {
-			fatal(fmt.Errorf("bad VP spec %q, want <provider>-<metro>", spec))
+			return fmt.Errorf("bad VP spec %q, want <provider>-<metro>", spec)
 		}
 		asn, ok := providerASN[spec[:i]]
 		if !ok {
-			fatal(fmt.Errorf("unknown provider %q", spec[:i]))
+			return fmt.Errorf("unknown provider %q", spec[:i])
 		}
 		if _, err := sys.AddVP(asn, spec[i+1:], netsim.Epoch); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
-	fmt.Printf("tslpd: %s\n", in)
+	fmt.Fprintf(stdout, "tslpd: %s\n", in)
 	sys.Start()
 	deadline := netsim.Epoch.Add(time.Duration(*hours) * time.Hour)
 
 	// Periodic persistence: a global event (it runs alone, between tick
 	// partitions) that ages the store out and takes an incremental
 	// snapshot — only dirty (shard, window) segments are rewritten.
+	// The first persistence error stops the periodic snapshots and fails
+	// the run once the simulation returns.
+	var persistErr error
 	if *datadir != "" {
+		var cancel func()
+		fail := func(err error) {
+			persistErr = err
+			cancel()
+		}
 		compact := func(t time.Time) {
 			if *compactAfter <= 0 {
 				return
@@ -148,39 +173,44 @@ func main() {
 				MaxWindows: *compactWindows,
 			})
 			if err != nil {
-				fatal(err)
+				fail(err)
+				return
 			}
 			if cs.Merged > 0 {
-				fmt.Printf("tslpd: %s compaction gen %d: merged %d segments into %d (%d -> %d bytes)\n",
+				fmt.Fprintf(stdout, "tslpd: %s compaction gen %d: merged %d segments into %d (%d -> %d bytes)\n",
 					t.Format("01-02 15:04"), cs.Generation, cs.Merged, cs.Written, cs.BytesIn, cs.BytesOut)
 			}
 		}
 		snapshot := func(t time.Time) {
 			if *retain > 0 {
 				if n := db.Retain(t.Add(-*retain), t.AddDate(100, 0, 0)); n > 0 {
-					fmt.Printf("tslpd: %s retention dropped %d points\n", t.Format("01-02 15:04"), n)
+					fmt.Fprintf(stdout, "tslpd: %s retention dropped %d points\n", t.Format("01-02 15:04"), n)
 				}
 			}
 			st, err := db.SnapshotDir(*datadir, tsdb.DirOptions{Incremental: true})
 			if err != nil {
-				fatal(err)
+				fail(err)
+				return
 			}
-			fmt.Printf("tslpd: %s snapshot gen %d: %d segments (%d written, %d reused, %d removed)\n",
+			fmt.Fprintf(stdout, "tslpd: %s snapshot gen %d: %d segments (%d written, %d reused, %d removed)\n",
 				t.Format("01-02 15:04"), st.Generation, st.Segments, st.Written, st.Reused, st.Removed)
 			compact(t)
 		}
-		sys.Sched.Every(netsim.Epoch.Add(*snapEvery), *snapEvery, snapshot)
+		cancel = sys.Sched.Every(netsim.Epoch.Add(*snapEvery), *snapEvery, snapshot)
 	}
 	t0 := time.Now()
 	events := sys.RunUntil(deadline)
-	fmt.Printf("tslpd: ran %d virtual hours (%d events) in %.1fs wall\n", *hours, events, time.Since(t0).Seconds())
+	if persistErr != nil {
+		return persistErr
+	}
+	fmt.Fprintf(stdout, "tslpd: ran %d virtual hours (%d events) in %.1fs wall\n", *hours, events, time.Since(t0).Seconds())
 
 	for _, sv := range sys.SortedVPs() {
 		links := 0
 		if sv.LastBdrmap != nil {
 			links = len(sv.LastBdrmap.Links)
 		}
-		fmt.Printf("  vp %-22s links=%-3d tslpRounds=%-4d responseRate=%.1f%%\n",
+		fmt.Fprintf(stdout, "  vp %-22s links=%-3d tslpRounds=%-4d responseRate=%.1f%%\n",
 			sv.VP.Name, links, sv.TSLP.RoundsRun, 100*sv.TSLP.ResponseRate())
 		if sv.LastBdrmap == nil {
 			continue
@@ -193,21 +223,21 @@ func main() {
 			eps := sys.DetectEpisodes(sv.VP.Name, id, netsim.Epoch, 1)
 			if len(eps) > 0 {
 				congested[id] = true
-				fmt.Printf("    level-shift episodes on %s: %d\n", id, len(eps))
+				fmt.Fprintf(stdout, "    level-shift episodes on %s: %d\n", id, len(eps))
 			}
 		}
 		if n := sys.ArmLossProbing(sv, congested, nil); n > 0 {
-			fmt.Printf("    armed loss probing on %d interfaces\n", n)
+			fmt.Fprintf(stdout, "    armed loss probing on %d interfaces\n", n)
 		}
 	}
-	fmt.Printf("tslpd: store holds %d series, %d points\n", db.SeriesCount(), db.PointCount())
+	fmt.Fprintf(stdout, "tslpd: store holds %d series, %d points\n", db.SeriesCount(), db.PointCount())
 
 	if *datadir != "" {
 		st, err := db.SnapshotDir(*datadir, tsdb.DirOptions{Incremental: true})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("tslpd: final snapshot gen %d: %d segments (%d written, %d reused) in %s\n",
+		fmt.Fprintf(stdout, "tslpd: final snapshot gen %d: %d segments (%d written, %d reused) in %s\n",
 			st.Generation, st.Segments, st.Written, st.Reused, *datadir)
 		if *compactAfter > 0 {
 			cs, err := db.Compact(*datadir, tsdb.CompactOptions{
@@ -215,10 +245,10 @@ func main() {
 				MaxWindows: *compactWindows,
 			})
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			if cs.Merged > 0 {
-				fmt.Printf("tslpd: final compaction gen %d: merged %d segments into %d (%d -> %d bytes)\n",
+				fmt.Fprintf(stdout, "tslpd: final compaction gen %d: merged %d segments into %d (%d -> %d bytes)\n",
 					cs.Generation, cs.Merged, cs.Written, cs.BytesIn, cs.BytesOut)
 			}
 		}
@@ -226,29 +256,26 @@ func main() {
 	if *lineOut != "" {
 		f, err := os.Create(*lineOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		n, err := db.ExportLines(f)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("tslpd: %d line-protocol points written to %s\n", n, *lineOut)
+		fmt.Fprintf(stdout, "tslpd: %d line-protocol points written to %s\n", n, *lineOut)
 	}
 
 	// Keep exporting the final generation so late-starting followers can
 	// still converge; the run's data is already durable at this point.
 	if *replicaAddr != "" {
-		fmt.Printf("tslpd: run complete; still exporting %s on %s (interrupt to exit)\n", *datadir, *replicaAddr)
+		fmt.Fprintf(stdout, "tslpd: run complete; still exporting %s on %s (interrupt to exit)\n", *datadir, *replicaAddr)
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sig)
 		<-sig
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tslpd:", err)
-	os.Exit(1)
+	return nil
 }

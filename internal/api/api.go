@@ -97,18 +97,11 @@ type Server struct {
 type Option func(*serverConfig)
 
 type serverConfig struct {
-	cacheSize   int
 	workers     int
 	replication func() ReplicationHealth
 	storageDir  string
 	swr         bool
 	swrBudget   time.Duration
-}
-
-// WithCacheSize bounds the read cache to n entries (<= 0 keeps the
-// readcache default).
-func WithCacheSize(n int) Option {
-	return func(c *serverConfig) { c.cacheSize = n }
 }
 
 // WithWorkers sets the worker count of the pool the dashboard's
@@ -128,8 +121,8 @@ func WithReplication(fn func() ReplicationHealth) Option {
 // WithStorageDir names the segment directory the serving store was
 // restored from (or a follower replicates into). /api/v1/stats and
 // /api/v1/health then report what is on disk — bytes, segment count,
-// format versions, compaction depth — next to the generation they
-// already expose. The directory is summarized per request, so a
+// point count, compaction depth — next to the generation they already
+// expose. The directory is summarized per request, so a
 // snapshot, retention or compaction pass landing between requests is
 // visible immediately.
 func WithStorageDir(dir string) Option {
@@ -160,7 +153,7 @@ func New(db *tsdb.DB, opts ...Option) *Server {
 	s := &Server{
 		DB:      db,
 		mux:     http.NewServeMux(),
-		cache:   readcache.New(cfg.cacheSize),
+		cache:   readcache.New(0),
 		pool:    pipeline.NewPool(cfg.workers),
 		met:     newMetrics(),
 		det:     newDetRegistry(0),
@@ -591,7 +584,7 @@ type StatsResponse struct {
 	// on a leader or standalone server.
 	Replication *ReplicationHealth `json:"replication,omitempty"`
 	// Storage summarizes the on-disk segment directory (bytes, segment
-	// count, format versions, compaction depth); absent when the server
+	// count, point count, compaction depth); absent when the server
 	// was not given one (WithStorageDir) or the directory holds no
 	// committed manifest yet.
 	Storage *tsdb.DirInfo `json:"storage,omitempty"`

@@ -2,8 +2,8 @@ package api_test
 
 // /api/v1/stats and /api/v1/health storage reporting: a server built
 // with WithStorageDir exposes its segment directory's on-disk state
-// (bytes, segment count, format versions; docs/SERVING.md §4), and one
-// built without it omits the field entirely.
+// (bytes, segment count, points, compaction depth; docs/SERVING.md
+// §4), and one built without it omits the field entirely.
 
 import (
 	"net/http/httptest"

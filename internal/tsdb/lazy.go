@@ -1,10 +1,12 @@
 package tsdb
 
-// Lazy block-pruned read path (docs/PERSISTENCE.md §9). A directory
-// restored with DirOptions.Lazy is mapped, not decoded: every
-// segment's payload is structurally parsed into its per-series blocks
+// Lazy block-pruned read path (docs/PERSISTENCE.md §9) and the one
+// RestoreDir. Every restore maps segments instead of reading them:
+// each payload is structurally parsed into its per-series blocks
 // (summaries + still-encoded columns aliasing the mapping) and each
 // series becomes a stub holding block references instead of Points.
+// An eager restore then decodes every stub into Points; a restore with
+// DirOptions.Lazy keeps the stubs.
 // Queries prune whole blocks against the summaries' [minT,maxT] and
 // [min,max] ranges and decode only the survivors, on demand, through a
 // small decoded-block LRU — so cold opens are O(metadata), query cost
@@ -73,8 +75,9 @@ type LazyStats struct {
 	// BlocksSkipped counts encoded blocks pruned by summary alone —
 	// never decoded for that query.
 	BlocksSkipped uint64 `json:"blocks_skipped"`
-	// BlocksDecoded counts block decodes actually performed (cache
-	// misses).
+	// BlocksDecoded counts block decodes actually performed for reads
+	// (cache misses). Materializing a series for a write decodes
+	// outside the cache and is not counted.
 	BlocksDecoded uint64 `json:"blocks_decoded"`
 	// DecodedBytes counts the decoded-column bytes those decodes
 	// produced (16 bytes per point), the cumulative cost the cache's
@@ -304,24 +307,43 @@ func (s *Series) lazyRangeCopy(from, to time.Time) (Series, bool) {
 	return Series{Measurement: s.Measurement, Tags: cloneTags(s.Tags), Points: pts}, true
 }
 
+// decodeLazyPoints decodes a lazy series' blocks, in order, into one
+// Points slice presized to the stub's point count. Each block goes
+// straight through Block.Decode — not the cache — which verifies it
+// against its summary; a failure names the segment, series and block
+// and wraps blockenc.ErrCorrupt. RestoreDir's decode step and
+// materializeLocked both use it.
+func (s *Series) decodeLazyPoints() ([]Point, error) {
+	l := s.lazy
+	pts := make([]Point, 0, l.points)
+	for i := range l.blocks {
+		r := &l.blocks[i]
+		ts, vs, err := r.enc.Decode()
+		if err != nil {
+			return nil, fmt.Errorf("tsdb: segment %s: series %q: block %d: %w", r.key.file, Key(s.Measurement, s.Tags), r.key.ord, err)
+		}
+		for j := range ts {
+			pts = append(pts, Point{Time: time.Unix(0, ts[j]).UTC(), Value: vs[j]})
+		}
+	}
+	return pts, nil
+}
+
 // materializeLocked decodes a lazy series fully into Points and drops
 // the stub, so the mutable write/trim paths and the raw-Points walkers
 // see an ordinary series. Not a data mutation: the series version does
-// not move. The caller must hold the shard write lock.
+// not move. The caller must hold the shard write lock. Like a lazy
+// query it has no error channel, so a block whose summary lies fails
+// loud.
 func (s *Series) materializeLocked() {
 	if s.lazy == nil {
 		return
 	}
-	l := s.lazy
-	pts := make([]Point, 0, l.points)
-	for i := range l.blocks {
-		d := l.store.decode(&l.blocks[i])
-		for j := range d.times {
-			pts = append(pts, Point{Time: time.Unix(0, d.times[j]).UTC(), Value: d.values[j]})
-		}
+	pts, err := s.decodeLazyPoints()
+	if err != nil {
+		panic(fmt.Sprintf("%v (payload passed CRC verification at open; the block summary disagrees with its contents)", err))
 	}
-	s.Points = pts
-	s.lazy = nil
+	s.Points, s.lazy = pts, nil
 }
 
 // materializeAllLocked decodes every lazily held series into Points
@@ -371,10 +393,10 @@ func (db *DB) LazyReadStats() (LazyStats, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Lazy open.
+// Restore: lazy open, then (unless Lazy) the verified decode.
 
-// openLazyFile maps one committed segment and prepares it for lazy
-// serving: the payload is verified (header identity + CRC) and
+// openLazyFile maps one committed segment and prepares it for every
+// restore: the payload is verified (header identity + CRC) and
 // structurally decoded so its blocks alias the mapping.
 func openLazyFile(dir string, sm SegmentMeta) (*lazyFile, error) {
 	data, unmap, err := mapFile(filepath.Join(dir, sm.File))
@@ -435,22 +457,36 @@ func (lf *lazyFile) appendRefs(series map[string]*Series, ls *lazyStore, si int)
 	return nil
 }
 
-// restoreDirLazy is RestoreDir's lazy mode: reuse or create the lazy
-// store, map only the manifest entries not already held, build the
-// shard maps as stubs from summaries alone, and swap. On a store
-// already lazy over the same directory (a follower hot-swap) the work
-// is O(changed segments) — unchanged files, their parsed block lists
-// and their cached decoded blocks all carry over.
-func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
+// RestoreDir replaces the store contents with the segment directory's
+// snapshot. The directory must be exactly what its manifest describes:
+// a missing, unlisted, corrupt, truncated or version-skewed segment
+// file is an error naming the file — nothing is skipped silently
+// (docs/PERSISTENCE.md §5). There is one path: the segments not already
+// held are mapped and verified concurrently on an internal/pipeline
+// pool, every series becomes a block-index stub built from summaries
+// alone, and the totals are checked against the manifest. Unless
+// opts.Lazy, every stub is then decoded into Points per shard on the
+// same pool, each block verified against its summary. Only then does
+// the store swap; any error before that leaves it exactly as it was.
+// On success the store adopts the manifest's window and generation, so
+// a daemon restarting from its data directory continues with
+// incremental snapshots. On a store already lazy over the same
+// directory (a follower hot-swap) the work is O(changed segments) —
+// unchanged files, their parsed block lists and their cached decoded
+// blocks all carry over.
+func (db *DB) RestoreDir(dir string, opts DirOptions) error {
+	m, err := loadCommittedDir(dir)
+	if err != nil {
+		return fmt.Errorf("tsdb: restoredir: %w", err)
+	}
+
 	unlock := db.lockAll(true)
 	defer unlock()
 
+	// A lazy store over another directory keeps serving until the swap,
+	// so a failed restore cannot leave stubs over unmapped files.
 	ls := db.lazy
-	if ls != nil && ls.dir != dir {
-		db.dropLazyLocked()
-		ls = nil
-	}
-	fresh := ls == nil
+	fresh := ls == nil || ls.dir != dir
 	if fresh {
 		ls = newLazyStore(dir, opts.BlockCacheBytes)
 	}
@@ -484,7 +520,6 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 	defer pool.Close()
 	jobs := make([]func() error, len(toOpen))
 	for i := range toOpen {
-		i := i
 		jobs[i] = func() error {
 			lf, err := openLazyFile(dir, toOpen[i])
 			if err != nil {
@@ -501,8 +536,9 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 		ls.files[lf.name] = lf
 	}
 
-	// Build the new shard maps from summaries alone, in ascending
-	// window order per shard (same merge order as the eager path).
+	// Build the new shard maps from summaries alone, in ascending window
+	// order per shard, so each stub's refs — and the Points decoded from
+	// them — are time-ordered.
 	byShard := make([][]SegmentMeta, NumShards)
 	for _, sm := range m.Segments {
 		byShard[sm.Shard] = append(byShard[sm.Shard], sm)
@@ -527,12 +563,36 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 	if totalPoints != m.TotalPoints {
 		return fmt.Errorf("tsdb: restoredir: indexed %d points, manifest says %d", totalPoints, m.TotalPoints)
 	}
+	// StoreSeries == 0 means "unknown": RetainDir cannot recount series
+	// without decoding survivors, so after retention the per-segment
+	// checks carry the integrity guarantee alone.
 	if m.StoreSeries != 0 && storeSeries != m.StoreSeries {
 		return fmt.Errorf("tsdb: restoredir: indexed %d series, manifest says %d", storeSeries, m.StoreSeries)
 	}
 
-	// Swap. All shard locks are held, so no reader can be mid-flight
-	// on the old stubs while stale files are unmapped below.
+	if !opts.Lazy {
+		// The verified decode: straight from the mapping into Points,
+		// bypassing the block cache nobody will read again.
+		jobs = make([]func() error, NumShards)
+		for si := range newShards {
+			jobs[si] = func() error {
+				for _, s := range newShards[si] {
+					pts, err := s.decodeLazyPoints()
+					if err != nil {
+						return err
+					}
+					s.Points, s.lazy = pts, nil
+				}
+				return nil
+			}
+		}
+		if err := pool.DoErr(jobs...); err != nil {
+			return fmt.Errorf("tsdb: restoredir: %w", err)
+		}
+	}
+
+	// Swap. All shard locks are held, so no reader can be mid-flight on
+	// the old stubs while stale files are unmapped below.
 	db.idx.reset()
 	for si := range db.shards {
 		db.shards[si].series = newShards[si]
@@ -545,7 +605,19 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 	db.window = time.Duration(m.WindowNanos)
 	db.snapDir = dir
 	db.snapGen = m.Generation
+	// Restored series restart at version zero, so the epoch must move
+	// for ViewStamp to notice the replacement (docs/SERVING.md §2).
 	db.epoch++
+	if db.lazy != ls {
+		db.dropLazyLocked()
+	}
+	installed = true
+	if !opts.Lazy {
+		// Every stub was decoded: no series references a mapping.
+		ls.close()
+		db.lazy = nil
+		return nil
+	}
 
 	// Drop files the new manifest no longer references.
 	listed := make(map[string]bool, len(m.Segments))
@@ -567,7 +639,6 @@ func (db *DB) restoreDirLazy(dir string, m *Manifest, opts DirOptions) error {
 	ls.segmentsOpened.Add(uint64(len(toOpen)))
 	ls.segmentsReused.Add(uint64(len(m.Segments) - len(toOpen)))
 	db.lazy = ls
-	installed = true
 	return nil
 }
 

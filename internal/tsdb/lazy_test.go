@@ -275,6 +275,53 @@ func TestLazyPruneZeroPointWindows(t *testing.T) {
 	}
 }
 
+// rewriteSegmentPayload replaces the payload of the manifest's i-th
+// segment with payload, writing a header and a manifest CRC that match
+// it, so the damage under test is the payload's own and not a checksum
+// mismatch (docs/PERSISTENCE.md §2).
+func rewriteSegmentPayload(t testing.TB, dir string, m *Manifest, i int, payload []byte) {
+	t.Helper()
+	sm := &m.Segments[i]
+	sm.CRC = crc32.Checksum(payload, crcTable)
+	hdr := make([]byte, 0, segmentHeaderSize+len(payload))
+	hdr = append(hdr, SegmentMagic...)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(SegmentVersion))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(sm.Shard))
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(sm.WindowStart))
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(sm.WindowEnd))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(sm.Series))
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(sm.Points))
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(len(payload)))
+	hdr = binary.BigEndian.AppendUint32(hdr, sm.CRC)
+	if err := os.WriteFile(filepath.Join(dir, sm.File), append(hdr, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tamperFirstSummary makes the first block summary of dir's first
+// segment claim a minimum no point has, refreshing every checksum
+// above it so the lie survives CRC verification at open.
+func tamperFirstSummary(t testing.TB, dir string) {
+	t.Helper()
+	m, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := loadSegmentPayload(dir, m.Segments[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := blockenc.DecodePayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list[0].Blocks[0].Min -= 100
+	rewriteSegmentPayload(t, dir, m, 0, blockenc.EncodePayload(list))
+}
+
 // TestLazyTamperedSummaryFailsLoud encodes corruption into a block
 // summary and refreshes every checksum above it, so the lie survives
 // CRC verification at open. The eager open must fail at decode; the
@@ -284,42 +331,7 @@ func TestLazyPruneZeroPointWindows(t *testing.T) {
 func TestLazyTamperedSummaryFailsLoud(t *testing.T) {
 	src := monoStore(200)
 	dir := snapToDir(t, src, DirOptions{})
-
-	m, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm := m.Segments[0]
-	payload, err := loadSegmentPayload(dir, sm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	list, err := blockenc.DecodePayload(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The summary now claims a minimum no point has.
-	list[0].Blocks[0].Min -= 100
-	tampered := blockenc.EncodePayload(list)
-
-	crc := crc32.Checksum(tampered, crcTable)
-	hdr := make([]byte, 0, segmentHeaderSize)
-	hdr = append(hdr, SegmentMagic...)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(SegmentVersion))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(sm.Shard))
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(sm.WindowStart))
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(sm.WindowEnd))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(sm.Series))
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(sm.Points))
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(len(tampered)))
-	hdr = binary.BigEndian.AppendUint32(hdr, crc)
-	if err := os.WriteFile(filepath.Join(dir, sm.File), append(hdr, tampered...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m.Segments[0].CRC = crc
-	if err := writeManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
+	tamperFirstSummary(t, dir)
 
 	// Eager open decodes everything and must reject the lying summary.
 	if err := Open().RestoreDir(dir, DirOptions{}); !errors.Is(err, blockenc.ErrCorrupt) {
@@ -340,6 +352,65 @@ func TestLazyTamperedSummaryFailsLoud(t *testing.T) {
 		}()
 		lz.Query("m", nil, t0, maxTime)
 	}()
+}
+
+// TestLazyFailedRestoreLeavesStoresUntouched: a restore that fails —
+// at CRC verification, or in the eager decode step on a summary that
+// lies — leaves its target exactly as it was, whether the target holds
+// decoded Points or is lazily open over another directory whose
+// mappings must keep serving. A successful eager restore over a lazy
+// store then releases every mapping.
+func TestLazyFailedRestoreLeavesStoresUntouched(t *testing.T) {
+	src := buildSegStore(time.Hour)
+	good := snapToDir(t, src, DirOptions{})
+	want := src.Digest()
+
+	badCRC := snapToDir(t, src, DirOptions{})
+	corruptPayloadByte(t, filepath.Join(badCRC, segmentAt(t, badCRC, func(SegmentMeta) bool { return true })))
+	badSummary := snapToDir(t, src, DirOptions{})
+	tamperFirstSummary(t, badSummary)
+
+	lz := lazyOpen(t, good, DirOptions{})
+	for _, tc := range []struct {
+		name string
+		dir  string
+		lazy bool
+	}{
+		{"checksum eager", badCRC, false},
+		{"checksum lazy", badCRC, true},
+		{"lying summary eager", badSummary, false},
+	} {
+		populated := eagerOpen(t, good)
+		before := lazyStats(t, lz)
+		for _, db := range []*DB{populated, lz} {
+			err := db.RestoreDir(tc.dir, DirOptions{Lazy: tc.lazy})
+			if err == nil {
+				t.Fatalf("%s: restore of a damaged directory succeeded", tc.name)
+			}
+			if tc.dir == badSummary && !errors.Is(err, blockenc.ErrCorrupt) {
+				t.Fatalf("%s: got %v, want ErrCorrupt", tc.name, err)
+			}
+			if d := db.Digest(); d != want {
+				t.Fatalf("%s: failed restore changed the digest: %016x, want %016x", tc.name, d, want)
+			}
+		}
+		if _, ok := populated.LazyReadStats(); ok {
+			t.Fatalf("%s: failed restore left the populated store lazily open", tc.name)
+		}
+		if after := lazyStats(t, lz); after.Segments != before.Segments || after.Blocks != before.Blocks {
+			t.Fatalf("%s: failed restore changed the lazy store's files: %+v, was %+v", tc.name, after, before)
+		}
+	}
+
+	if err := lz.RestoreDir(good, DirOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := lz.LazyReadStats(); ok {
+		t.Fatal("eager restore over a lazy store kept its mappings")
+	}
+	if lz.Digest() != want {
+		t.Fatal("eager restore over a lazy store diverged")
+	}
 }
 
 // TestLazyWriteMaterializes proves mutation transparency: writes into

@@ -74,8 +74,9 @@ var ErrSegmentVersion = errors.New("unsupported segment format version")
 // DirOptions configures SnapshotDir and RestoreDir.
 type DirOptions struct {
 	// Workers bounds the concurrent segment encoders (SnapshotDir) or
-	// per-shard decoders (RestoreDir). 0 means one per CPU; 1 runs
-	// fully sequentially on the calling goroutine.
+	// the concurrent segment openers and per-shard decoders
+	// (RestoreDir). 0 means one per CPU; 1 runs fully sequentially on
+	// the calling goroutine.
 	Workers int
 	// Incremental lets SnapshotDir rewrite only segments whose (shard,
 	// window) was touched since the store's previous snapshot into the
@@ -84,13 +85,16 @@ type DirOptions struct {
 	// store's bookkeeping (first snapshot, foreign directory, or a
 	// RetainDir ran in between).
 	Incremental bool
-	// Lazy makes RestoreDir map committed segments without decoding
-	// their points: series become block-index stubs and queries decode
-	// only the blocks that survive summary pruning, on demand, through
-	// a small LRU (docs/PERSISTENCE.md §9). Reads are byte-identical to
-	// an eager open. A store already lazy over the same directory
-	// reuses held segments, making a repeat RestoreDir (a follower
-	// hot-swap) O(changed segments). Ignored by SnapshotDir.
+	// Lazy chooses what RestoreDir leaves resident. Every restore maps,
+	// verifies and indexes the committed segments into block-index
+	// stubs; without Lazy it then decodes every stub into Points (each
+	// block verified against its summary) and releases the mappings.
+	// With Lazy the stubs stay: queries decode only the blocks that
+	// survive summary pruning, on demand, through a small LRU
+	// (docs/PERSISTENCE.md §9). Reads are byte-identical either way. A
+	// store already lazy over the same directory reuses held segments,
+	// making a repeat RestoreDir (a follower hot-swap) O(changed
+	// segments). Ignored by SnapshotDir.
 	Lazy bool
 	// BlockCacheBytes bounds the decoded-block LRU a lazy restore
 	// installs by the bytes its decoded columns occupy
@@ -278,42 +282,51 @@ func (db *DB) planSegments() []*segPlan {
 	return out
 }
 
-// toBlockSeries converts store series slices into the canonical
-// payload form: one blockenc.Series per distinct key, points
-// concatenated in slice order (callers keep per-key slices
-// time-ascending), sorted by key so identical content encodes to
-// identical bytes.
-func toBlockSeries(list []*Series) []blockenc.Series {
-	type acc struct {
-		measurement string
-		tags        map[string]string
-		times       []int64
-		values      []float64
-	}
-	byKey := make(map[string]*acc)
+// keyColumns is one series key's points gathered from store series
+// slices as raw columns.
+type keyColumns struct {
+	key         string
+	measurement string
+	tags        map[string]string
+	times       []int64
+	values      []float64
+}
+
+// groupByKey gathers store series slices into one keyColumns per
+// distinct key, points concatenated in slice order (callers keep
+// per-key slices time-ascending), sorted by key so identical content
+// encodes to identical bytes.
+func groupByKey(list []*Series) []*keyColumns {
+	byKey := make(map[string]*keyColumns)
 	var keys []string
 	for _, s := range list {
 		key := Key(s.Measurement, s.Tags)
-		a, ok := byKey[key]
+		c, ok := byKey[key]
 		if !ok {
-			a = &acc{measurement: s.Measurement, tags: s.Tags}
-			byKey[key] = a
+			c = &keyColumns{key: key, measurement: s.Measurement, tags: s.Tags}
+			byKey[key] = c
 			keys = append(keys, key)
 		}
 		for _, pt := range s.Points {
-			a.times = append(a.times, pt.Time.UnixNano())
-			a.values = append(a.values, pt.Value)
+			c.times = append(c.times, pt.Time.UnixNano())
+			c.values = append(c.values, pt.Value)
 		}
 	}
 	sort.Strings(keys)
-	out := make([]blockenc.Series, 0, len(keys))
-	for _, key := range keys {
-		a := byKey[key]
-		out = append(out, blockenc.Series{
-			Measurement: a.measurement,
-			Tags:        a.tags,
-			Blocks:      blockenc.BuildBlocks(a.times, a.values),
-		})
+	out := make([]*keyColumns, len(keys))
+	for i, key := range keys {
+		out[i] = byKey[key]
+	}
+	return out
+}
+
+// toBlockSeries converts store series slices into the canonical
+// payload form: one blockenc.Series per distinct key (groupByKey).
+func toBlockSeries(list []*Series) []blockenc.Series {
+	cols := groupByKey(list)
+	out := make([]blockenc.Series, len(cols))
+	for i, c := range cols {
+		out[i] = blockenc.Series{Measurement: c.measurement, Tags: c.tags, Blocks: blockenc.BuildBlocks(c.times, c.values)}
 	}
 	return out
 }
@@ -437,30 +450,7 @@ func appendExtendSegment(dir string, gen uint64, p *segPlan) (SegmentMeta, bool)
 
 	// Group the plan's slices per key like toBlockSeries, keeping raw
 	// columns so each key's appended tail can be cut out.
-	type acc struct {
-		measurement string
-		tags        map[string]string
-		times       []int64
-		values      []float64
-	}
-	byKey := make(map[string]*acc)
-	var keys []string
-	points := 0
-	for _, s := range p.series {
-		key := Key(s.Measurement, s.Tags)
-		a, ok := byKey[key]
-		if !ok {
-			a = &acc{measurement: s.Measurement, tags: s.Tags}
-			byKey[key] = a
-			keys = append(keys, key)
-		}
-		for _, pt := range s.Points {
-			a.times = append(a.times, pt.Time.UnixNano())
-			a.values = append(a.values, pt.Value)
-		}
-		points += len(s.Points)
-	}
-	sort.Strings(keys)
+	cols := groupByKey(p.series)
 
 	// The pure-append proof: store writes are insert-only and no window
 	// of this span was trimmed since the previous snapshot (segPlan.prev
@@ -468,32 +458,31 @@ func appendExtendSegment(dir string, gen uint64, p *segPlan) (SegmentMeta, bool)
 	// when the number of points at or before its old last timestamp still
 	// equals its old count — any insert at or before that timestamp moves
 	// the count past it.
-	appended := make([]blockenc.Series, 0, len(keys))
+	appended := make([]blockenc.Series, 0, len(cols))
 	tail := 0
-	for _, key := range keys {
-		a := byKey[key]
-		o, ok := old[key]
+	for _, c := range cols {
+		o, ok := old[c.key]
 		if !ok {
 			// A key new to this window: its whole column is appended.
 			appended = append(appended, blockenc.Series{
-				Measurement: a.measurement, Tags: a.tags,
-				Blocks: blockenc.BuildBlocks(a.times, a.values),
+				Measurement: c.measurement, Tags: c.tags,
+				Blocks: blockenc.BuildBlocks(c.times, c.values),
 			})
-			tail += len(a.times)
+			tail += len(c.times)
 			continue
 		}
-		idx := sort.Search(len(a.times), func(i int) bool { return a.times[i] > o.maxT })
+		idx := sort.Search(len(c.times), func(i int) bool { return c.times[i] > o.maxT })
 		if idx != o.count {
 			return SegmentMeta{}, false
 		}
-		if idx < len(a.times) {
+		if idx < len(c.times) {
 			appended = append(appended, blockenc.Series{
-				Measurement: a.measurement, Tags: a.tags,
-				Blocks: blockenc.BuildBlocks(a.times[idx:], a.values[idx:]),
+				Measurement: c.measurement, Tags: c.tags,
+				Blocks: blockenc.BuildBlocks(c.times[idx:], c.values[idx:]),
 			})
-			tail += len(a.times) - idx
+			tail += len(c.times) - idx
 		}
-		delete(old, key)
+		delete(old, c.key)
 	}
 	if len(old) != 0 || tail == 0 {
 		// A key vanished from the window, or nothing was appended at
@@ -511,7 +500,7 @@ func appendExtendSegment(dir string, gen uint64, p *segPlan) (SegmentMeta, bool)
 	for _, s := range appended {
 		out = blockenc.AppendSeries(out, s)
 	}
-	meta, err := writeSegmentFile(dir, gen, p.shard, p.winStart, p.winEnd, newCount, points, p.level, out)
+	meta, err := writeSegmentFile(dir, gen, p.shard, p.winStart, p.winEnd, newCount, p.points, p.level, out)
 	if err != nil {
 		return SegmentMeta{}, false
 	}
@@ -749,7 +738,7 @@ func (db *DB) SnapshotDir(dir string, opts DirOptions) (DirStats, error) {
 // payload length, CRC-32C (docs/PERSISTENCE.md §2, reader
 // obligations) — and returns the payload. The payload decode and the
 // decoded-count checks stay with the caller; VerifySegmentFile and
-// readSegment share everything up to that point.
+// RestoreDir share everything up to that point.
 func verifySegmentBytes(data []byte, sm SegmentMeta) ([]byte, error) {
 	if len(data) < segmentHeaderSize {
 		return nil, fmt.Errorf("tsdb: segment %s: truncated header (%d bytes)", sm.File, len(data))
@@ -793,8 +782,8 @@ func checkSegmentVersion(hdr []byte) error {
 
 // loadSegmentPayload reads one segment file from disk and verifies it
 // against its manifest entry, returning the raw payload without
-// decoding it. readSegment, RetainDir's block-level boundary trim and
-// CompactDir's zero-decode merge all start here.
+// decoding it. RetainDir's block-level boundary trim, CompactDir's
+// zero-decode merge and the append-extend snapshot path start here.
 func loadSegmentPayload(dir string, sm SegmentMeta) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(dir, sm.File))
 	if err != nil {
@@ -825,30 +814,10 @@ func decodeBlockPayload(payload []byte, sm SegmentMeta) ([]blockenc.Series, erro
 	return list, nil
 }
 
-// blockSeriesToSeries fully decodes payload series into store form.
-func blockSeriesToSeries(list []blockenc.Series, sm SegmentMeta) ([]*Series, error) {
-	out := make([]*Series, 0, len(list))
-	for i := range list {
-		bs := &list[i]
-		var pts []Point
-		for _, b := range bs.Blocks {
-			ts, vs, err := b.Decode()
-			if err != nil {
-				return nil, fmt.Errorf("tsdb: segment %s: series %q: %w", sm.File, Key(bs.Measurement, bs.Tags), err)
-			}
-			for j := range ts {
-				pts = append(pts, Point{Time: time.Unix(0, ts[j]).UTC(), Value: vs[j]})
-			}
-		}
-		out = append(out, &Series{Measurement: bs.Measurement, Tags: bs.Tags, Points: pts})
-	}
-	return out, nil
-}
-
 // loadCommittedDir reads and validates a directory's committed state:
 // the manifest plus the check that every on-disk segment is either
 // listed by it or an ignorable other-generation leftover
-// (docs/PERSISTENCE.md §4, §5). Both RestoreDir modes start here.
+// (docs/PERSISTENCE.md §4, §5). RestoreDir starts here.
 func loadCommittedDir(dir string) (*Manifest, error) {
 	m, err := readManifest(dir)
 	if err != nil {
@@ -878,127 +847,6 @@ func loadCommittedDir(dir string) (*Manifest, error) {
 		return nil, fmt.Errorf("segment %s present on disk but not in the manifest", name)
 	}
 	return m, nil
-}
-
-// readSegment loads and fully validates one segment file against its
-// manifest entry: magic, version, identity fields, payload checksum
-// (docs/PERSISTENCE.md §2), then decodes the payload. It returns the
-// decoded series slices.
-func readSegment(dir string, sm SegmentMeta) ([]*Series, error) {
-	payload, err := loadSegmentPayload(dir, sm)
-	if err != nil {
-		return nil, err
-	}
-	list, err := decodeBlockPayload(payload, sm)
-	if err != nil {
-		return nil, err
-	}
-	return blockSeriesToSeries(list, sm)
-}
-
-// RestoreDir replaces the store contents with the segment directory's
-// snapshot, decoding shards concurrently on an internal/pipeline pool.
-// The directory must be exactly what its manifest describes: a missing,
-// unlisted, corrupt, truncated or version-skewed segment file is an
-// error naming the file — nothing is skipped silently
-// (docs/PERSISTENCE.md §5). On success the store adopts the manifest's
-// window and generation, so a daemon restarting from its data directory
-// continues with incremental snapshots.
-func (db *DB) RestoreDir(dir string, opts DirOptions) error {
-	m, err := loadCommittedDir(dir)
-	if err != nil {
-		return fmt.Errorf("tsdb: restoredir: %w", err)
-	}
-	if opts.Lazy {
-		return db.restoreDirLazy(dir, m, opts)
-	}
-
-	// Group the manifest's entries per shard, ascending window order, so
-	// each shard rebuilds its series' points in time order by plain
-	// appends (windows partition time; order within a window is
-	// preserved by the encoder).
-	byShard := make([][]SegmentMeta, NumShards)
-	for _, sm := range m.Segments {
-		byShard[sm.Shard] = append(byShard[sm.Shard], sm)
-	}
-	for si := range byShard {
-		sms := byShard[si]
-		sort.Slice(sms, func(i, j int) bool { return sms[i].WindowStart < sms[j].WindowStart })
-	}
-
-	unlock := db.lockAll(true)
-	defer unlock()
-
-	newShards := make([]map[string]*Series, NumShards)
-	pool := pipeline.NewPool(opts.Workers)
-	defer pool.Close()
-	jobs := make([]func() error, 0, NumShards)
-	for si := range byShard {
-		si := si
-		jobs = append(jobs, func() error {
-			series := make(map[string]*Series)
-			for _, sm := range byShard[si] {
-				list, err := readSegment(dir, sm)
-				if err != nil {
-					return err
-				}
-				for _, s := range list {
-					key := Key(s.Measurement, s.Tags)
-					if shardFor(key) != uint32(si) {
-						return fmt.Errorf("tsdb: segment %s: series %q does not belong to shard %d", sm.File, key, si)
-					}
-					if dst, ok := series[key]; ok {
-						dst.Points = append(dst.Points, s.Points...)
-					} else {
-						series[key] = s
-					}
-				}
-			}
-			newShards[si] = series
-			return nil
-		})
-	}
-	if err := pool.DoErr(jobs...); err != nil {
-		return fmt.Errorf("tsdb: restoredir: %w", err)
-	}
-
-	storeSeries, totalPoints := 0, 0
-	for _, series := range newShards {
-		storeSeries += len(series)
-		for _, s := range series {
-			totalPoints += len(s.Points)
-		}
-	}
-	if totalPoints != m.TotalPoints {
-		return fmt.Errorf("tsdb: restoredir: decoded %d points, manifest says %d", totalPoints, m.TotalPoints)
-	}
-	// StoreSeries == 0 means "unknown": RetainDir cannot recount series
-	// without decoding survivors, so after retention the per-segment
-	// checks in readSegment carry the integrity guarantee alone.
-	if m.StoreSeries != 0 && storeSeries != m.StoreSeries {
-		return fmt.Errorf("tsdb: restoredir: decoded %d series, manifest says %d", storeSeries, m.StoreSeries)
-	}
-
-	// An eager restore over a lazily open store retires the mappings:
-	// all shard maps are replaced while every shard lock is held, so no
-	// reader can still reach the old stubs.
-	db.dropLazyLocked()
-	db.idx.reset()
-	for si := range db.shards {
-		db.shards[si].series = newShards[si]
-		db.shards[si].dirty = nil
-		db.shards[si].trimmed = nil
-		for key, s := range newShards[si] {
-			db.idx.add(s.Measurement, s.Tags, key)
-		}
-	}
-	db.window = time.Duration(m.WindowNanos)
-	db.snapDir = dir
-	db.snapGen = m.Generation
-	// The decoded series restart at version zero, so the epoch must
-	// move for ViewStamp to notice the replacement (docs/SERVING.md §2).
-	db.epoch++
-	return nil
 }
 
 // RetainDir ages a segment directory out in place: every segment whose
